@@ -16,8 +16,9 @@
 //! | WATOS     | ✓                  | ✓               | ✓             | ✓ (GCMR)         | optimized + GA |
 
 use serde::{Deserialize, Serialize};
-use watos::scheduler::{schedule_plan, RecomputeMode, ScheduledConfig, SchedulerOptions};
+use watos::scheduler::{schedule_plan_cached, RecomputeMode, ScheduledConfig, SchedulerOptions};
 use watos::Explorer;
+use watos::ProfileCache;
 use wsc_arch::wafer::WaferConfig;
 use wsc_mesh::collective::CollectiveAlgo;
 use wsc_workload::parallel::ParallelPlan;
@@ -100,12 +101,13 @@ pub fn run(method: DseMethod, wafer: &WaferConfig, job: &TrainingJob) -> Option<
                 t <= dies
                     && watos::placement::choose_tile(wafer.nx, wafer.ny, t, dies / t).is_some()
             })?;
-            schedule_plan(
+            schedule_plan_cached(
                 wafer,
                 job,
                 &ParallelPlan::intra(tp, dies / tp, TpSplitStrategy::Megatron),
                 &opts,
                 None,
+                &ProfileCache::new(),
             )
         }
         DseMethod::DfModel => {
@@ -222,22 +224,24 @@ fn flat_network_pick(
     }
     let (_, tp, pp) = best?;
     // The flat model tends to overrate big TP; deploy its choice as-is.
-    schedule_plan(
+    schedule_plan_cached(
         wafer,
         job,
         &ParallelPlan::intra(tp, pp, opts.strategies[0]),
         opts,
         None,
+        &ProfileCache::new(),
     )
     .or_else(|| {
         // If the flat choice is infeasible on the real machine, the tool
         // would fall back to halving TP.
-        schedule_plan(
+        schedule_plan_cached(
             wafer,
             job,
             &ParallelPlan::intra((tp / 2).max(1), pp, opts.strategies[0]),
             opts,
             None,
+            &ProfileCache::new(),
         )
     })
 }

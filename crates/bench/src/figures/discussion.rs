@@ -6,8 +6,9 @@ use crate::util::{explore_node, explore_one};
 use crate::util::{f2, f3, normalize_min1, watos_options, TextTable};
 use watos::ga::GaParams;
 use watos::robust::FaultKind;
-use watos::scheduler::{schedule_plan, SchedulerOptions};
+use watos::scheduler::{schedule_plan_cached, SchedulerOptions};
 use watos::Explorer;
+use watos::ProfileCache;
 use wsc_arch::enumerate::die_granularity_sweep;
 use wsc_arch::presets;
 use wsc_baselines::dse::{run as run_dse, DseMethod};
@@ -376,12 +377,13 @@ pub fn fig24b_data(steps: usize) -> Vec<(f64, Vec<f64>)> {
                 ..SchedulerOptions::default()
             };
             // GA history via a fixed schedule (the GA runs inside).
-            let cfg = schedule_plan(
+            let cfg = schedule_plan_cached(
                 &wafer,
                 &job,
                 &ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron),
                 &opts,
                 None,
+                &ProfileCache::new(),
             );
             // Re-run the GA standalone for the history curve.
             let hist = cfg

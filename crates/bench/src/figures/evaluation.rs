@@ -5,8 +5,9 @@ use crate::util::explore_one;
 use crate::util::{f2, f3, normalize_min1, watos_options, TextTable};
 use watos::ga::GaParams;
 use watos::placement::{global_cost, optimize, row_major, PairDemand};
-use watos::scheduler::{schedule_plan, RecomputeMode, SchedulerOptions};
+use watos::scheduler::{schedule_plan_cached, RecomputeMode, SchedulerOptions};
 use watos::Explorer;
+use watos::ProfileCache;
 use wsc_arch::presets;
 use wsc_arch::units::Bandwidth;
 use wsc_baselines::analytic::estimate as analytic_estimate;
@@ -326,12 +327,13 @@ pub fn fig17(quick: bool) -> String {
     let wafer = presets::config(3);
     let job = TrainingJob::standard(zoo::gpt_175b());
     let opts = watos_options(quick);
-    let wa = schedule_plan(
+    let wa = schedule_plan_cached(
         &wafer,
         &job,
         &ParallelPlan::intra(4, 14, TpSplitStrategy::SequenceParallel),
         &opts,
         None,
+        &ProfileCache::new(),
     )
     .expect("watos tp4");
     let mw = mg_wafer(&wafer, &job).expect("mg wafer");
@@ -411,7 +413,7 @@ pub fn fig18_data(model: wsc_workload::model::LlmModel, quick: bool) -> Vec<(Str
         .into_iter()
         .map(|(label, opts)| {
             let plan = ParallelPlan::intra(8, 7, TpSplitStrategy::Megatron);
-            let t = schedule_plan(&wafer, &job, &plan, &opts, None)
+            let t = schedule_plan_cached(&wafer, &job, &plan, &opts, None, &ProfileCache::new())
                 .map(|c| c.report.iteration.as_secs())
                 .unwrap_or(f64::INFINITY);
             (label.to_string(), t)

@@ -13,7 +13,7 @@ use crate::placement::Placement;
 use crate::stage::{boundary_bytes, StageProfile};
 use serde::{Deserialize, Serialize};
 use wsc_arch::fault::FaultMap;
-use wsc_arch::units::{Bytes, FlopRate, Flops, Time};
+use wsc_arch::units::{Bandwidth, Bytes, FlopRate, Flops, Time};
 use wsc_arch::wafer::WaferConfig;
 use wsc_mesh::collective::{CollectiveAlgo, GroupShape};
 use wsc_mesh::contention::{CommTask, TaskKind, TrafficAssigner};
@@ -125,44 +125,95 @@ pub struct EvalInput<'a> {
     pub cache: Option<&'a ProfileCache>,
 }
 
+/// The hierarchical cross-wafer step a TP group spanning `span > 1`
+/// wafers pays on every collective: a ring all-reduce over its `span`
+/// wafer segments at the W2W seam's bandwidth and latency.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SeamStep {
+    /// Wafers one TP group spans.
+    pub span: usize,
+    /// W2W link bandwidth.
+    pub bw: Bandwidth,
+    /// W2W link latency.
+    pub latency: Time,
+}
+
 /// Forward/backward TP-collective times of one stage profile at the
-/// given effective link bandwidth. This is *the* formula — shared by the
-/// evaluator (fault-scaled bandwidth) and the scheduler's lower-bound
-/// pruner (healthy bandwidth), so the bound can never drift from what
-/// the evaluator actually charges.
+/// given effective link bandwidth, plus the optional cross-wafer
+/// [`SeamStep`] of a multi-wafer TP group. This is *the* formula —
+/// shared by both legs' evaluators (the single-wafer one at
+/// fault-scaled bandwidth) and both lower bounds (healthy bandwidth),
+/// so a bound can never drift from what its evaluator charges.
 pub(crate) fn stage_comm_times(
     cache: Option<&ProfileCache>,
     collective: CollectiveAlgo,
     shape: GroupShape,
+    seam: Option<&SeamStep>,
     sp: &StageProfile,
-    eff_link: wsc_arch::units::Bandwidth,
+    eff_link: Bandwidth,
     alpha: Time,
 ) -> (Time, Time) {
-    let fwd_coll = sp.fwd_collectives.max(1);
-    let bwd_coll = sp.bwd_collectives.max(1);
-    let fwd = cached_all_reduce(
-        cache,
-        collective,
-        shape,
-        sp.fwd_comm_bytes / fwd_coll as u64,
-        eff_link,
-        alpha,
+    let price = |bytes: Bytes, collectives: usize| {
+        let n = collectives.max(1);
+        let volume = bytes / n as u64;
+        let mut t = cached_all_reduce(cache, collective, shape, volume, eff_link, alpha);
+        if let Some(seam) = seam {
+            t += cached_all_reduce(
+                cache,
+                CollectiveAlgo::RingBi,
+                GroupShape::new(seam.span, 1),
+                volume,
+                seam.bw,
+                seam.latency,
+            );
+        }
+        t.scale(n as f64)
+    };
+    (
+        price(sp.fwd_comm_bytes, sp.fwd_collectives),
+        price(sp.bwd_comm_bytes, sp.bwd_collectives),
     )
-    .scale(fwd_coll as f64);
-    let bwd = cached_all_reduce(
-        cache,
-        collective,
-        shape,
-        sp.bwd_comm_bytes / bwd_coll as u64,
-        eff_link,
-        alpha,
-    )
-    .scale(bwd_coll as f64);
-    (fwd, bwd)
 }
 
-/// DP gradient all-reduce time per iteration (zero when `dp == 1`) —
-/// shared by the evaluator and the lower-bound pruner.
+/// The pipeline floor both legs' lower bounds start from, in seconds:
+/// with `mb_s` the healthy per-micro-batch compute plus TP-collective
+/// time of stage `s`, `max(n · max_s mb_s, Σ_s mb_s)` — the 1F1B steady
+/// state (the bottleneck stage serializes all `n` micro-batches) or the
+/// critical path of micro-batch 0 down and back, whichever is longer.
+/// Recomputation, p2p transfers and routing contention only ever add
+/// time, so no schedule of these stages beats it.
+pub(crate) fn pipeline_floor(
+    cache: &ProfileCache,
+    collective: CollectiveAlgo,
+    shape: GroupShape,
+    seam: Option<&SeamStep>,
+    stages: &[StageProfile],
+    n_mb: usize,
+    wafer: &WaferConfig,
+) -> f64 {
+    let mut max_mb = 0.0f64;
+    let mut sum_mb = 0.0f64;
+    for sp in stages {
+        let (fwd_comm, bwd_comm) = stage_comm_times(
+            Some(cache),
+            collective,
+            shape,
+            seam,
+            sp,
+            wafer.d2d_link_bw(),
+            wafer.d2d_link_latency,
+        );
+        let mb = (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs();
+        max_mb = max_mb.max(mb);
+        sum_mb += mb;
+    }
+    (n_mb as f64 * max_mb).max(sum_mb)
+}
+
+/// DP gradient all-reduce time per iteration (zero when `dp == 1`) over
+/// a `min(dp, nx) × rows` group on the D2D mesh — shared by both legs'
+/// evaluators and lower bounds. The legs keep their own group shape
+/// (`rows`; see the search-driver docs in [`crate::scheduler`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dp_allreduce_time(
     cache: Option<&ProfileCache>,
@@ -172,20 +223,19 @@ pub(crate) fn dp_allreduce_time(
     tp: usize,
     pp: usize,
     dp: usize,
-    alpha: Time,
+    rows: usize,
 ) -> Time {
     if dp <= 1 {
         return Time::ZERO;
     }
     let grad_bytes = Bytes::new((job.model.total_params() * 2.0 / (tp * pp) as f64) as u64);
-    let dp_shape = GroupShape::new(dp.min(wafer.nx), dp.div_ceil(wafer.nx).max(1));
     cached_all_reduce(
         cache,
         collective,
-        dp_shape,
+        GroupShape::new(dp.min(wafer.nx), rows),
         grad_bytes,
         wafer.d2d_link_bw(),
-        alpha,
+        wafer.d2d_link_latency,
     )
 }
 
@@ -345,6 +395,7 @@ pub fn evaluate(input: &EvalInput<'_>) -> PerfReport {
             input.cache,
             input.options.collective,
             shape,
+            None,
             sp,
             eff_link,
             alpha,
@@ -378,7 +429,7 @@ pub fn evaluate(input: &EvalInput<'_>) -> PerfReport {
         input.ctx.tp,
         pp,
         dp,
-        alpha,
+        dp.div_ceil(wafer.nx).max(1),
     );
 
     // ---- Optimizer step: stream modelP through DRAM once. ----

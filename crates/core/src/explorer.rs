@@ -16,16 +16,16 @@
 use crate::cache::{CacheStats, ProfileCache};
 use crate::goodput::{ensemble_effective_secs, FaultAwareSpec, FaultEnsemble, RobustObjective};
 use crate::inject::Injection;
-use crate::multiwafer::{
-    explore_multi_wafer_impl, wafer_loss_sweep_impl, MultiWaferOutcome, MultiWaferReport,
-};
+use crate::multiwafer::{explore_multi_wafer_impl, wafer_loss_sweep_impl, MultiWaferReport};
 use crate::robust::{fault_sweep_impl, FaultKind, FaultPoint};
 use crate::scheduler::{
-    explore_impl, PlanFilter, RecomputeMode, ScheduledConfig, SchedulerOptions, SearchStats,
+    explore_impl, LegOutcome, PlanFilter, RecomputeMode, ScheduledConfig, SchedulerOptions,
+    SearchStats,
 };
 use crate::serving::ServingModel;
-use crate::wave::{CandidateFailure, Outcome, SearchBudget, SessionCtx, WaveCheckpoint, WaveSink};
-use rayon::prelude::*;
+use crate::wave::{
+    run_items, CandidateFailure, Outcome, SearchBudget, SessionCtx, WaveCheckpoint, WaveSink,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -103,6 +103,25 @@ pub enum ExplorationError {
     /// objectives has no defined winner — run two sessions instead.
     #[error("fault-aware and serving objectives cannot be combined in one session")]
     ConflictingObjectives,
+    /// [`Explorer::resume`] was handed a checkpoint taken under another
+    /// seed: its legs are not the legs this session would run.
+    #[error("checkpoint seed {checkpoint} does not match the session seed {session}")]
+    CheckpointSeedMismatch {
+        /// Seed recorded in the checkpoint.
+        checkpoint: u64,
+        /// Seed of the resuming session.
+        session: u64,
+    },
+    /// A completed leg of the checkpoint handed to [`Explorer::resume`]
+    /// ran on another candidate than the session's at that index (or
+    /// the session has no candidate there).
+    #[error("checkpoint {side} leg {index} does not match the session's candidate list")]
+    CheckpointLegMismatch {
+        /// `"single-wafer"` or `"multi-wafer"`.
+        side: String,
+        /// Index of the offending leg in the checkpoint.
+        index: usize,
+    },
 }
 
 /// A pluggable comparison system for [`ExplorerBuilder::with_baselines`].
@@ -230,11 +249,7 @@ impl ExplorationReport {
 
     /// The best multi-wafer record across nodes, if any succeeded.
     pub fn best_multi_wafer(&self) -> Option<&MultiWaferRecord> {
-        self.multi_wafer
-            .iter()
-            .filter_map(|r| r.best.as_ref().map(|b| (r, b.iteration.as_secs())))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(r, _)| r)
+        best_node(&self.multi_wafer)
     }
 
     /// Aggregate search instrumentation across all single-wafer
@@ -283,6 +298,16 @@ impl ExplorationReport {
     pub fn from_json(s: &str) -> Result<Self, serde::Error> {
         Self::from_value(&serde::json::from_text(s)?)
     }
+}
+
+/// The fastest feasible node record (ties keep the earliest), with the
+/// winning report it carries.
+fn best_node(records: &[MultiWaferRecord]) -> Option<&MultiWaferRecord> {
+    records
+        .iter()
+        .filter_map(|r| r.best.as_ref().map(|b| (r, b.iteration.as_secs())))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(r, _)| r)
 }
 
 /// A resumable snapshot of a whole explorer session: the legs already
@@ -375,22 +400,19 @@ impl CheckpointSink for MemorySink {
 /// [`SearchCheckpoint`] carrying the legs already completed.
 struct LegSink<'a> {
     sink: &'a dyn CheckpointSink,
-    seed: u64,
-    completed_single: &'a [ArchRecord],
-    completed_multi: &'a [MultiWaferRecord],
+    /// The leg-boundary snapshot before this leg (no frontier).
+    done: SearchCheckpoint,
     multi: bool,
 }
 
 impl WaveSink for LegSink<'_> {
     fn emit(&self, checkpoint: &WaveCheckpoint) {
         self.sink.write(&SearchCheckpoint {
-            seed: self.seed,
-            completed_single: self.completed_single.to_vec(),
-            completed_multi: self.completed_multi.to_vec(),
             frontier: Some(SearchFrontier {
                 multi: self.multi,
                 wave: checkpoint.clone(),
             }),
+            ..self.done.clone()
         });
     }
 }
@@ -867,12 +889,37 @@ impl Explorer {
     /// resulting report — winner included — is byte-identical to the
     /// uninterrupted run's, pinned by the `tests/resilience.rs`
     /// proptests.
-    pub fn resume(&self, checkpoint: &SearchCheckpoint) -> ExplorationReport {
-        debug_assert_eq!(
-            checkpoint.seed, self.options.seed,
-            "resuming under a different seed than the checkpoint was taken with"
-        );
-        self.run_with(Some(checkpoint))
+    ///
+    /// A checkpoint from another session is rejected rather than
+    /// spliced in: [`ExplorationError::CheckpointSeedMismatch`] when its
+    /// seed differs, [`ExplorationError::CheckpointLegMismatch`] when a
+    /// completed leg's wafer or node is not this session's candidate at
+    /// that index.
+    pub fn resume(
+        &self,
+        checkpoint: &SearchCheckpoint,
+    ) -> Result<ExplorationReport, ExplorationError> {
+        if checkpoint.seed != self.options.seed {
+            return Err(ExplorationError::CheckpointSeedMismatch {
+                checkpoint: checkpoint.seed,
+                session: self.options.seed,
+            });
+        }
+        let mismatch = |side: &str, index: usize| ExplorationError::CheckpointLegMismatch {
+            side: side.into(),
+            index,
+        };
+        for (i, rec) in checkpoint.completed_single.iter().enumerate() {
+            if self.wafers.get(i) != Some(&rec.wafer) {
+                return Err(mismatch("single-wafer", i));
+            }
+        }
+        for (i, rec) in checkpoint.completed_multi.iter().enumerate() {
+            if self.nodes.get(i) != Some(&rec.node) {
+                return Err(mismatch("multi-wafer", i));
+            }
+        }
+        Ok(self.run_with(Some(checkpoint)))
     }
 
     /// The session-wide wave-engine context: budget limits and the
@@ -896,23 +943,18 @@ impl Explorer {
 
     fn run_with(&self, resume: Option<&SearchCheckpoint>) -> ExplorationReport {
         let ctx = self.base_ctx();
-        // Checkpointing (or resuming) runs the legs sequentially so
-        // every snapshot has a well-defined completed-prefix; reports
-        // are identical either way, as everywhere else in the engine.
-        let checkpointing = self.sink.is_some() || resume.is_some();
-        let outcomes: Vec<(ArchRecord, ProfileCache)> = if checkpointing {
-            self.run_single_checkpointed(&ctx, resume)
-        } else if self.sequential {
-            self.wafers
-                .iter()
-                .map(|w| self.explore_one(w, &ctx))
-                .collect()
-        } else {
-            self.wafers
-                .par_iter()
-                .map(|w| self.explore_one(w, &ctx))
-                .collect()
-        };
+        let outcomes = self.run_legs(
+            &ctx,
+            resume,
+            false,
+            self.wafers.len(),
+            // A reused leg gets a fresh cache: the ranking lookups below
+            // re-memoize from scratch, and entries are pure functions of
+            // their keys, so the values cannot change.
+            |cp, i| Some((cp.completed_single.get(i)?.clone(), ProfileCache::new())),
+            |done| self.snapshot(done.iter().map(|(r, _)| r.clone()).collect(), Vec::new()),
+            |i, leg_ctx| self.explore_one(&self.wafers[i], leg_ctx),
+        );
         let (single_wafer, caches): (Vec<ArchRecord>, Vec<ProfileCache>) =
             outcomes.into_iter().unzip();
 
@@ -957,19 +999,28 @@ impl Explorer {
             }
         }
 
-        let multi_wafer: Vec<MultiWaferRecord> = if checkpointing {
-            self.run_multi_checkpointed(&ctx, resume, &single_wafer)
-        } else {
-            self.nodes
-                .iter()
-                .map(|node| {
-                    Self::multi_record(
-                        node,
-                        explore_multi_wafer_impl(node, &self.job, &self.options, &ctx),
-                    )
-                })
-                .collect()
+        let explore_node = |i: usize, ctx: &SessionCtx<'_>| {
+            let node = &self.nodes[i];
+            let leg = explore_multi_wafer_impl(node, &self.job, &self.options, ctx);
+            MultiWaferRecord {
+                name: format!("{}x {}", node.wafers, node.wafer.name),
+                node: node.clone(),
+                best: leg.best.map(|(b, _)| b),
+                stats: leg.stats,
+                outcome: leg.outcome,
+                failures: leg.failures,
+                cache_stats: leg.cache.stats(),
+            }
         };
+        let multi_wafer = self.run_legs(
+            &ctx,
+            resume,
+            true,
+            self.nodes.len(),
+            |cp, i| cp.completed_multi.get(i).cloned(),
+            |done| self.snapshot(single_wafer.clone(), done.to_vec()),
+            explore_node,
+        );
 
         let mut fault_sweeps = Vec::new();
         if let Some(spec) = &self.faults {
@@ -1000,14 +1051,9 @@ impl Explorer {
             // via explicit stage maps (exact binomial expectation over
             // survivor counts — no Monte Carlo).
             if spec.kinds.contains(&FaultKind::Wafer) {
-                let best_node = multi_wafer
-                    .iter()
-                    .filter_map(|r| r.best.as_ref().map(|b| (r, b.iteration.as_secs())))
-                    .min_by(|a, b| a.1.total_cmp(&b.1))
-                    .map(|(r, _)| r);
-                if let Some(rec) = best_node {
-                    // wsc-lint: allow(S001, "best_node is filtered on best.is_some() above")
-                    let best = rec.best.as_ref().expect("filtered on Some");
+                if let Some((rec, best)) =
+                    best_node(&multi_wafer).and_then(|r| Some((r, r.best.as_ref()?)))
+                {
                     fault_sweeps.push(FaultSweepRecord {
                         kind: FaultKind::Wafer,
                         arch: rec.name.clone(),
@@ -1060,7 +1106,13 @@ impl Explorer {
     }
 
     fn explore_one(&self, wafer: &WaferConfig, ctx: &SessionCtx<'_>) -> (ArchRecord, ProfileCache) {
-        let outcome = explore_impl(
+        let LegOutcome {
+            best,
+            stats,
+            outcome,
+            failures,
+            cache,
+        } = explore_impl(
             wafer,
             &self.job,
             &self.options,
@@ -1068,138 +1120,86 @@ impl Explorer {
             self.serving.as_deref(),
             ctx,
         );
-        let cache_stats = outcome.cache.stats();
-        (
-            ArchRecord {
-                arch: wafer.name.clone(),
-                wafer: wafer.clone(),
-                best: outcome.best,
-                stats: outcome.stats,
-                outcome: outcome.outcome,
-                failures: outcome.failures,
-                cache_stats,
-            },
-            outcome.cache,
-        )
+        let record = ArchRecord {
+            arch: wafer.name.clone(),
+            wafer: wafer.clone(),
+            best: best.map(|(b, _)| b),
+            stats,
+            outcome,
+            failures,
+            cache_stats: cache.stats(),
+        };
+        (record, cache)
     }
 
-    fn multi_record(node: &MultiWaferConfig, outcome: MultiWaferOutcome) -> MultiWaferRecord {
-        MultiWaferRecord {
-            name: format!("{}x {}", node.wafers, node.wafer.name),
-            node: node.clone(),
-            best: outcome.best,
-            stats: outcome.stats,
-            outcome: outcome.outcome,
-            failures: outcome.failures,
-            cache_stats: outcome.cache_stats,
+    /// A leg-boundary [`SearchCheckpoint`] of this session (no
+    /// frontier: a resume starts the next leg from scratch).
+    fn snapshot(
+        &self,
+        completed_single: Vec<ArchRecord>,
+        completed_multi: Vec<MultiWaferRecord>,
+    ) -> SearchCheckpoint {
+        SearchCheckpoint {
+            seed: self.options.seed,
+            completed_single,
+            completed_multi,
+            frontier: None,
         }
     }
 
-    /// Sequential single-wafer leg loop used whenever a sink or a resume
-    /// checkpoint is present. Completed legs from the checkpoint are
-    /// reused verbatim; a fresh [`ProfileCache`] re-memoizes the ranking
-    /// lookups from scratch and cannot change their values (entries are
-    /// pure functions of their keys).
-    fn run_single_checkpointed(
+    /// The leg loop of one side of the session (`multi`: single-wafer
+    /// candidates or multi-wafer nodes); `run` runs leg `i`. Without a
+    /// sink or a resume checkpoint, single-wafer legs fan out across
+    /// threads (unless `sequential`) and nodes run in order, each
+    /// parallel inside its own search. With one, the legs run in order
+    /// so every snapshot has a well-defined completed prefix — reports
+    /// are identical either way. Leg `i` is then reused from the
+    /// checkpoint when `reused` finds it completed there; the first leg
+    /// that is not resumes from the checkpoint's wave frontier when that
+    /// frontier was taken on this side; the rest run from scratch. After
+    /// each leg, `snapshot` of the legs so far goes to the sink and is
+    /// the base every wave checkpoint of the next leg extends.
+    #[allow(clippy::too_many_arguments)]
+    fn run_legs<T: Send>(
         &self,
         ctx: &SessionCtx<'_>,
         resume: Option<&SearchCheckpoint>,
-    ) -> Vec<(ArchRecord, ProfileCache)> {
-        let mut out: Vec<(ArchRecord, ProfileCache)> = Vec::with_capacity(self.wafers.len());
-        for (i, wafer) in self.wafers.iter().enumerate() {
-            if resume.is_some_and(|cp| i < cp.completed_single.len()) {
-                if let Some(cp) = resume {
-                    out.push((cp.completed_single[i].clone(), ProfileCache::new()));
-                }
+        multi: bool,
+        legs: usize,
+        reused: impl Fn(&SearchCheckpoint, usize) -> Option<T>,
+        snapshot: impl Fn(&[T]) -> SearchCheckpoint,
+        run: impl Fn(usize, &SessionCtx<'_>) -> T + Sync,
+    ) -> Vec<T> {
+        if self.sink.is_none() && resume.is_none() {
+            let idxs: Vec<usize> = (0..legs).collect();
+            return run_items(&idxs, multi || self.sequential, |&i| run(i, ctx));
+        }
+        let mut frontier = resume
+            .and_then(|cp| cp.frontier.as_ref())
+            .filter(|f| f.multi == multi)
+            .map(|f| &f.wave);
+        let mut out: Vec<T> = Vec::with_capacity(legs);
+        for i in 0..legs {
+            if let Some(done) = resume.and_then(|cp| reused(cp, i)) {
+                out.push(done);
                 continue;
             }
-            // The wave frontier applies only to the first non-completed
-            // leg, and only when it was taken on this side (single vs
-            // multi) of the session.
-            let at_frontier = resume.is_some_and(|cp| i == cp.completed_single.len());
-            let frontier = resume
-                .and_then(|cp| cp.frontier.as_ref())
-                .filter(|f| !f.multi && at_frontier)
-                .map(|f| &f.wave);
-            let completed: Vec<ArchRecord> = out.iter().map(|(r, _)| r.clone()).collect();
             let entry = {
                 let leg_sink = self.sink.as_deref().map(|sink| LegSink {
                     sink,
-                    seed: self.options.seed,
-                    completed_single: &completed,
-                    completed_multi: &[],
-                    multi: false,
+                    done: snapshot(&out),
+                    multi,
                 });
                 let leg_ctx = SessionCtx {
                     sink: leg_sink.as_ref().map(|s| s as &dyn WaveSink),
-                    resume: frontier,
+                    resume: frontier.take(),
                     ..*ctx
                 };
-                self.explore_one(wafer, &leg_ctx)
+                run(i, &leg_ctx)
             };
             out.push(entry);
-            // Leg-boundary snapshot: frontier `None` means "start the
-            // next leg from scratch on resume".
             if let Some(sink) = &self.sink {
-                sink.write(&SearchCheckpoint {
-                    seed: self.options.seed,
-                    completed_single: out.iter().map(|(r, _)| r.clone()).collect(),
-                    completed_multi: Vec::new(),
-                    frontier: None,
-                });
-            }
-        }
-        out
-    }
-
-    /// Sequential multi-wafer counterpart of
-    /// [`Self::run_single_checkpointed`]; snapshots carry the full
-    /// single-wafer prefix so a resumed session never re-runs it.
-    fn run_multi_checkpointed(
-        &self,
-        ctx: &SessionCtx<'_>,
-        resume: Option<&SearchCheckpoint>,
-        single_wafer: &[ArchRecord],
-    ) -> Vec<MultiWaferRecord> {
-        let mut out: Vec<MultiWaferRecord> = Vec::with_capacity(self.nodes.len());
-        for (i, node) in self.nodes.iter().enumerate() {
-            if resume.is_some_and(|cp| i < cp.completed_multi.len()) {
-                if let Some(cp) = resume {
-                    out.push(cp.completed_multi[i].clone());
-                }
-                continue;
-            }
-            let at_frontier = resume.is_some_and(|cp| i == cp.completed_multi.len());
-            let frontier = resume
-                .and_then(|cp| cp.frontier.as_ref())
-                .filter(|f| f.multi && at_frontier)
-                .map(|f| &f.wave);
-            let record = {
-                let leg_sink = self.sink.as_deref().map(|sink| LegSink {
-                    sink,
-                    seed: self.options.seed,
-                    completed_single: single_wafer,
-                    completed_multi: &out,
-                    multi: true,
-                });
-                let leg_ctx = SessionCtx {
-                    sink: leg_sink.as_ref().map(|s| s as &dyn WaveSink),
-                    resume: frontier,
-                    ..*ctx
-                };
-                Self::multi_record(
-                    node,
-                    explore_multi_wafer_impl(node, &self.job, &self.options, &leg_ctx),
-                )
-            };
-            out.push(record);
-            if let Some(sink) = &self.sink {
-                sink.write(&SearchCheckpoint {
-                    seed: self.options.seed,
-                    completed_single: single_wafer.to_vec(),
-                    completed_multi: out.clone(),
-                    frontier: None,
-                });
+                sink.write(&snapshot(&out));
             }
         }
         out

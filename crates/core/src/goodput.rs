@@ -363,7 +363,7 @@ pub fn ensemble_goodput(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{schedule_plan, SchedulerOptions};
+    use crate::scheduler::{schedule_plan_cached, SchedulerOptions};
     use wsc_arch::presets;
     use wsc_workload::parallel::{ParallelPlan, TpSplitStrategy};
     use wsc_workload::zoo;
@@ -376,12 +376,13 @@ mod tests {
             strategies: vec![TpSplitStrategy::Megatron],
             ..SchedulerOptions::default()
         };
-        let cfg = schedule_plan(
+        let cfg = schedule_plan_cached(
             &wafer,
             &job,
             &ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron),
             &opts,
             None,
+            &ProfileCache::new(),
         )
         .expect("schedulable");
         (wafer, job, cfg)

@@ -85,8 +85,8 @@ pub use crate::goodput::{
 };
 pub use crate::inject::Injection;
 pub use crate::multiwafer::{
-    evaluate_multi_wafer_plan, evaluate_multi_wafer_plan_cached, evaluate_multi_wafer_plan_placed,
-    seam_borrow_penalty, MultiWaferReport, NodePlacementStats,
+    evaluate_multi_wafer_plan_cached, evaluate_multi_wafer_plan_placed, seam_borrow_penalty,
+    MultiWaferReport, NodePlacementStats,
 };
 pub use crate::placement::{
     global_cost, node_serpentine, optimize_node, serpentine, NodePlacementOutcome, PairDemand,
@@ -94,8 +94,8 @@ pub use crate::placement::{
 };
 pub use crate::robust::{FaultKind, FaultPoint};
 pub use crate::scheduler::{
-    evaluate_scheduled, evaluate_scheduled_cached, schedule_plan, schedule_plan_cached, PlanFilter,
-    RecomputeMode, ScheduledConfig, SchedulerOptions, SearchStats,
+    evaluate_scheduled_cached, schedule_plan_cached, PlanFilter, RecomputeMode, ScheduledConfig,
+    SchedulerOptions, SearchStats,
 };
 pub use crate::serving::ServingModel;
 pub use crate::stage::{build_stage_profiles, build_stage_profiles_with, LayerData, StageProfile};

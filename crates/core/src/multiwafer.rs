@@ -26,8 +26,9 @@
 //!   α–β ring model on the per-wafer tile shape; a cross-wafer TP group
 //!   pays an additional hierarchical step — a ring all-reduce over its
 //!   `tp_span` wafer segments at W2W bandwidth/latency — for every
-//!   collective, in both the evaluator and the lower bound (one shared
-//!   pricing function, so the bound stays sound by construction);
+//!   collective, in both the evaluator and the lower bound (the
+//!   single-wafer pricing function with its seam step, so the bound
+//!   stays sound by construction);
 //! * checkpoint overflow is delegated to the GCMR recomputation
 //!   scheduler (Alg. 2) against the per-die DRAM capacity;
 //! * the 1F1B pipeline (Fig. 8a) is simulated exactly, with per-boundary
@@ -48,43 +49,42 @@
 //!
 //! # The search
 //!
-//! The search (`explore_multi_wafer_impl`, driven by
-//! [`crate::Explorer`]) sweeps the plan space on the shared bounded
-//! wave engine (`crate::wave`), exactly like the single-wafer search.
-//! The baseline space is the seed-era one — intra-wafer TP, balanced
-//! maps, `pp` in wafer multiples; [`PlanFilter`] axes enlarge it with
-//! cross-wafer-TP plans (`tp_span` over the divisors of the wafer
-//! count) and uneven stage maps (every `pp`, plus the deterministic
+//! A node is the multi-wafer leg of the one search driver
+//! ([`crate::scheduler`]'s `search_leg`, driven by [`crate::Explorer`]):
+//! the same bounded wave engine, early exit, memory precheck and plan
+//! geometry as a single wafer, which is a one-wafer node. This module
+//! brings the node's work list, bound tail and evaluator. The baseline
+//! space is the seed-era one — intra-wafer TP, balanced maps, `pp` in
+//! wafer multiples; [`PlanFilter`] axes enlarge it with cross-wafer-TP
+//! plans (`tp_span` over the divisors of the wafer count) and uneven
+//! stage maps (every `pp`, plus the deterministic
 //! [`StageMap::remainder_shifted`] family where `pp` does not divide
-//! evenly), each pruned by the same per-die memory precheck. The
-//! aggregate-memory precheck (Alg. 1 line 1–2 at node scale) decides
-//! infeasible points without building stage profiles, surviving points
-//! are sorted by an analytic lower bound (1F1B steady state + pipeline
-//! critical path + DP all-reduce — recomputation and p2p only ever add
-//! time) and evaluated in deterministic ramped waves. Winner and
-//! [`SearchStats`] are byte-identical across thread counts and match
-//! the exhaustive sequential sweep.
+//! evenly). Surviving points are sorted by an analytic lower bound (the
+//! shared pipeline floor plus the DP all-reduce — recomputation and p2p
+//! only ever add time) and evaluated in deterministic ramped waves.
+//! Winner and `SearchStats` are byte-identical across thread counts
+//! and match the exhaustive sequential sweep.
 
-use crate::cache::{CacheStats, ProfileCache};
+use crate::cache::ProfileCache;
 use crate::costmodel::NodeCostModel;
 use crate::dram_alloc::allocate_node;
-use crate::placement::{choose_tile, optimize_node, PairDemand};
+use crate::evaluator::{dp_allreduce_time, pipeline_floor, stage_comm_times, SeamStep};
+use crate::placement::{optimize_node, PairDemand};
 use crate::scheduler::{
-    memory_precheck_fails, tp_candidates, PlanFilter, SchedulerOptions, SearchStats,
+    plan_geometry, search_leg, tp_candidates, LegOutcome, PlanFilter, PlanGeometry,
+    SchedulerOptions,
 };
-use crate::stage::{boundary_bytes, StageProfile};
-use crate::wave::{bounded_search, CandidateFailure, Outcome, SessionCtx, WaveResult, WorkItem};
+use crate::stage::boundary_bytes;
+use crate::wave::{SessionCtx, WorkItem};
 use serde::{Deserialize, Serialize};
 use wsc_arch::units::{Bytes, FlopRate, Time};
-use wsc_arch::wafer::MultiWaferConfig;
+use wsc_arch::wafer::{MultiWaferConfig, WaferConfig};
 use wsc_mesh::collective::{CollectiveAlgo, GroupShape};
 use wsc_mesh::multiwafer::MultiWaferFabric;
 use wsc_mesh::topology::Mesh2D;
 use wsc_pipeline::gcmr::{gcmr, GcmrPlan};
 use wsc_pipeline::onefb::{simulate, StageTiming};
 use wsc_pipeline::recompute::overflow_and_spare;
-use wsc_workload::graph::ShardingCtx;
-use wsc_workload::memory::model_p_total;
 use wsc_workload::parallel::{ParallelPlan, ParallelSpec, StageMap};
 use wsc_workload::training::TrainingJob;
 
@@ -150,101 +150,12 @@ pub fn seam_borrow_penalty(node: &MultiWaferConfig, bytes: Bytes, crossings: usi
     fabric.cross_wafer_time(bytes, crossings)
 }
 
-/// The derived geometry of one multi-wafer [`ParallelPlan`]: the
-/// resolved stage → wafer-group assignment, per-wafer TP tile shape,
-/// data parallelism, micro-batch count, sharding context. One function
-/// computes it for the evaluator and the lower-bound pruner, so the two
-/// can never disagree on what a plan means. `None` = statically
-/// infeasible: bad `pp`, a `tp_span` that divides neither `tp` nor the
-/// wafer count, an invalid stage map, no tile embedding, more stages
-/// than tile slots per wafer, or the aggregate-memory precheck fails
-/// (Alg. 1 line 1–2 at node scale: `modelP / (tp·pp)` must fit the
-/// per-die DRAM — exact for this evaluator, because GCMR requires each
-/// stage's training state to fit locally, and the largest stage share
-/// is at least the average; note the per-die share is independent of
-/// `tp_span`, which only moves the *same* dies across seams). The
-/// precheck runs *before* any stage profile is built, so
-/// memory-decided points cost nothing in both the pruned and the
-/// exhaustive sweep.
-struct NodeGeometry {
-    /// Stage → wafer-group index (`pp` entries).
-    assignment: Vec<usize>,
-    /// Wafers one TP group spans (`plan.tp_span`).
-    span: usize,
-    /// Per-wafer TP tile shape (`tp / span` dies).
-    shape: GroupShape,
-    parallel: ParallelSpec,
-    n_mb: usize,
-    ctx: ShardingCtx,
-}
-
-fn node_geometry(
-    node: &MultiWaferConfig,
-    job: &TrainingJob,
-    plan: &ParallelPlan,
-) -> Option<NodeGeometry> {
-    let wafer = &node.wafer;
-    let (tp, pp, span) = (plan.tp, plan.pp, plan.tp_span);
-    if tp == 0 || pp == 0 || span == 0 || pp > job.model.layers {
-        return None;
-    }
-    // A TP group spans whole wafers; wafer groups partition the node.
-    if !tp.is_multiple_of(span) || !node.wafers.max(1).is_multiple_of(span) {
-        return None;
-    }
-    let groups = node.wafers.max(1) / span;
-    if plan.stage_map.validate(pp, groups).is_err() {
-        return None;
-    }
-    // Aggregate-memory precheck: decides the point without profiles.
-    if memory_precheck_fails(wafer, job, tp, pp) {
-        return None;
-    }
-    let assignment = plan.stage_map.assignments(pp);
-    let max_per_group = plan.stage_map.max_stages_per_wafer(pp);
-    // Each wafer of a group hosts `tp / span` dies of every TP group and
-    // one tile slot per stage of the group.
-    let (tw, th) = choose_tile(wafer.nx, wafer.ny, tp / span, max_per_group)?;
-    let slots_per_wafer = (wafer.nx / tw) * (wafer.ny / th);
-    if max_per_group > slots_per_wafer {
-        return None;
-    }
-    let mut dp = (slots_per_wafer / max_per_group)
-        .max(1)
-        .clamp(1, (job.global_batch / job.micro_batch).max(1));
-    if plan.dp > 0 {
-        dp = dp.min(plan.dp);
-    }
-    let parallel = ParallelSpec::new(dp, tp, pp);
-    Some(NodeGeometry {
-        assignment,
-        span,
-        shape: GroupShape::new(tw, th),
-        parallel,
-        n_mb: job.microbatches(dp),
-        ctx: plan.sharding_ctx(job),
-    })
-}
-
-/// Evaluate a fixed [`ParallelPlan`] on a multi-wafer node.
-///
-/// One-shot wrapper around [`evaluate_multi_wafer_plan_cached`] with a
-/// private cache; searches and sweeps that revisit configurations
-/// should hold a [`ProfileCache`] and call the cached variant.
-pub fn evaluate_multi_wafer_plan(
-    node: &MultiWaferConfig,
-    job: &TrainingJob,
-    plan: &ParallelPlan,
-) -> Option<MultiWaferReport> {
-    let cache = ProfileCache::new();
-    evaluate_multi_wafer_plan_cached(node, job, plan, &cache)
-}
-
-/// [`evaluate_multi_wafer_plan`] with a shared [`ProfileCache`]: layer
+/// Evaluate a fixed [`ParallelPlan`] on a multi-wafer node. Layer
 /// profiles per `(tp, strategy)`, stage profiles per
 /// `(tp, pp, strategy, microbatches)` and collective-time lookups are
-/// reused across every plan the cache has seen for this `(wafer, job)`
-/// pair — including plans that differ only in stage map or TP span.
+/// memoized in `cache` and reused across every plan it has seen for this
+/// `(wafer, job)` pair — including plans that differ only in stage map
+/// or TP span; a one-off call passes `&ProfileCache::new()`.
 pub fn evaluate_multi_wafer_plan_cached(
     node: &MultiWaferConfig,
     job: &TrainingJob,
@@ -286,14 +197,14 @@ fn evaluate_multi_wafer_plan_impl(
 ) -> Option<MultiWaferReport> {
     let wafer = &node.wafer;
     let pp = plan.pp;
-    let NodeGeometry {
+    let PlanGeometry {
         assignment,
         span,
         shape,
         parallel,
         n_mb,
         ctx,
-    } = node_geometry(node, job, plan)?;
+    } = plan_geometry(wafer, node.wafers, job, plan)?;
     let dp = parallel.dp;
     let stages = cache.stage_profiles(wafer, job, plan, n_mb);
     let inputs: Vec<_> = stages.iter().map(|s| s.as_recompute_input()).collect();
@@ -307,10 +218,19 @@ fn evaluate_multi_wafer_plan_impl(
     let alpha = wafer.d2d_link_latency;
     let boundary = boundary_bytes(job, &ctx);
 
+    let seam = seam_step(node, span);
     let mut timings = Vec::with_capacity(pp);
     let mut w2w_boundaries = 0usize;
     for (s, sp) in stages.iter().enumerate() {
-        let (fwd_comm, bwd_comm) = stage_tp_comm(cache, node, shape, span, sp, link_bw, alpha);
+        let (fwd_comm, bwd_comm) = stage_comm_times(
+            Some(cache),
+            CollectiveAlgo::RingBi,
+            shape,
+            seam.as_ref(),
+            sp,
+            link_bw,
+            alpha,
+        );
         // Stage boundary: W2W when the next stage lives on another wafer
         // group.
         let p2p = if s + 1 < pp && assignment[s + 1] != assignment[s] {
@@ -327,11 +247,7 @@ fn evaluate_multi_wafer_plan_impl(
             p2p,
         });
     }
-    let dp_time = if dp > 1 {
-        dp_allreduce_time(node, job, plan.tp, pp, dp, cache)
-    } else {
-        Time::ZERO
-    };
+    let dp_time = node_dp_allreduce_time(wafer, job, plan.tp, pp, dp, cache);
     let mut iteration = simulate(&timings, n_mb).iteration + dp_time;
 
     // Node-level Alg. 3 (behind the `node_placement` knob): re-place the
@@ -483,142 +399,77 @@ fn node_placement_pass(
     Some((refined, stats))
 }
 
-/// Per-micro-batch TP collective time of one stage, `(fwd, bwd)`. The
-/// single pricing authority for the evaluator AND the lower bound —
-/// pruning soundness requires the bound to price collectives exactly as
-/// the evaluator does, so the agreement is structural, not manual.
-///
-/// `shape` is the per-wafer tile of `tp / span` dies. Intra-wafer TP
-/// (`span == 1`) prices a ring all-reduce over the whole group on the
-/// D2D mesh; a cross-wafer group (`span > 1`) additionally pays a
-/// hierarchical step per collective — a ring all-reduce over its `span`
-/// wafer segments at W2W bandwidth and latency, the same α–β model the
-/// seam carries for every other collective in this codebase.
-#[allow(clippy::too_many_arguments)]
-fn stage_tp_comm(
-    cache: &ProfileCache,
-    node: &MultiWaferConfig,
-    shape: GroupShape,
-    span: usize,
-    sp: &StageProfile,
-    link_bw: wsc_arch::units::Bandwidth,
-    alpha: Time,
-) -> (Time, Time) {
-    let price = |bytes: Bytes, coll: usize| {
-        let coll = coll.max(1);
-        let v = bytes / coll as u64;
-        let mut t = cache.all_reduce(CollectiveAlgo::RingBi, shape, v, link_bw, alpha);
-        if span > 1 {
-            t += cache.all_reduce(
-                CollectiveAlgo::RingBi,
-                GroupShape::new(span, 1),
-                v,
-                node.w2w_bw,
-                node.w2w_latency,
-            );
-        }
-        t.scale(coll as f64)
-    };
-    (
-        price(sp.fwd_comm_bytes, sp.fwd_collectives),
-        price(sp.bwd_comm_bytes, sp.bwd_collectives),
-    )
+/// The cross-wafer [`SeamStep`] a TP group spanning `span` wafers of
+/// `node` pays on every collective (`None` for intra-wafer TP).
+fn seam_step(node: &MultiWaferConfig, span: usize) -> Option<SeamStep> {
+    (span > 1).then_some(SeamStep {
+        span,
+        bw: node.w2w_bw,
+        latency: node.w2w_latency,
+    })
 }
 
-/// The data-parallel gradient all-reduce appended to the pipeline time
-/// (identical in the evaluator and the lower bound, so the bound stays
-/// exact on this term).
-fn dp_allreduce_time(
-    node: &MultiWaferConfig,
+/// The node's data-parallel gradient all-reduce (ring, one wafer row;
+/// zero when `dp == 1`) — identical in the evaluator and the lower
+/// bound, so the bound stays exact on this term.
+fn node_dp_allreduce_time(
+    wafer: &WaferConfig,
     job: &TrainingJob,
     tp: usize,
     pp: usize,
     dp: usize,
     cache: &ProfileCache,
 ) -> Time {
-    let wafer = &node.wafer;
-    let grads = Bytes::new((job.model.total_params() * 2.0 / (tp * pp) as f64) as u64);
-    cache.all_reduce(
+    dp_allreduce_time(
+        Some(cache),
         CollectiveAlgo::RingBi,
-        GroupShape::new(dp.min(wafer.nx), 1),
-        grads,
-        wafer.d2d_link_bw(),
-        wafer.d2d_link_latency,
+        wafer,
+        job,
+        tp,
+        pp,
+        dp,
+        1,
     )
 }
 
 /// Analytic lower bound (seconds) on the iteration time of one
-/// multi-wafer point, from the cached stage profiles:
-///
-/// * 1F1B steady state — the bottleneck stage serializes all `n` micro-
-///   batches: `n · max_s(fwd_s + bwd_s)`;
-/// * pipeline critical path — micro-batch 0 traverses every stage down
-///   and back: `Σ_s (fwd_s + bwd_s)`;
-/// * plus the DP gradient all-reduce, which the evaluator adds verbatim.
-///
-/// Per-stage times use the evaluator's own collective formula
-/// (including the cross-wafer hierarchical step for `tp_span > 1`), so
-/// the only dropped terms — recomputation and p2p transfers (D2D *and*
-/// W2W) — strictly add time: the bound never exceeds the true
-/// evaluation. `None` = statically infeasible ([`node_geometry`]
-/// rejects the plan).
+/// multi-wafer point: the shared [`pipeline_floor`] of its cached stage
+/// profiles — TP collectives priced by the evaluator's own formula,
+/// including the cross-wafer seam step for `tp_span > 1` — plus the DP
+/// gradient all-reduce, which the evaluator adds verbatim. The only
+/// dropped terms — recomputation and p2p transfers (D2D *and* W2W) —
+/// strictly add time, so the bound never exceeds the true evaluation.
+/// `None` = statically infeasible ([`plan_geometry`] rejects the plan).
 ///
 /// The node-placement pass does not touch this bound, and needs not to:
 /// both the baseline and the placement-refined schedule consist of the
-/// same per-stage `fwd/bwd` (collectives priced by the same
-/// [`stage_tp_comm`]) plus only *non-negative* additions — recompute,
-/// p2p, balance traffic, seam penalties — and the refinement is kept
-/// only when strictly better than the baseline. Placement can only
-/// shrink realized cost toward the bound, never through it.
+/// same per-stage `fwd/bwd` plus only *non-negative* additions —
+/// recompute, p2p, balance traffic, seam penalties — and the refinement
+/// is kept only when strictly better than the baseline. Placement can
+/// only shrink realized cost toward the bound, never through it.
 fn node_lower_bound(
     node: &MultiWaferConfig,
     job: &TrainingJob,
-    item: &WorkItem,
+    plan: &ParallelPlan,
     cache: &ProfileCache,
 ) -> Option<f64> {
     let wafer = &node.wafer;
-    let geo = node_geometry(node, job, &item.plan)?;
-    let stages = cache.stage_profiles(wafer, job, &item.plan, geo.n_mb);
-    let link_bw = wafer.d2d_link_bw();
-    let alpha = wafer.d2d_link_latency;
-    let mut max_mb = 0.0f64;
-    let mut sum_mb = 0.0f64;
-    for sp in stages.iter() {
-        let (fwd_comm, bwd_comm) =
-            stage_tp_comm(cache, node, geo.shape, geo.span, sp, link_bw, alpha);
-        let mb = (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs();
-        max_mb = max_mb.max(mb);
-        sum_mb += mb;
-    }
-    let mut bound = (geo.n_mb as f64 * max_mb).max(sum_mb);
-    if geo.parallel.dp > 1 {
-        bound += dp_allreduce_time(
-            node,
-            job,
-            item.plan.tp,
-            item.plan.pp,
-            geo.parallel.dp,
-            cache,
-        )
-        .as_secs();
-    }
-    Some(bound)
-}
-
-/// Outcome of one multi-wafer search: the winner plus instrumentation.
-#[derive(Debug, Clone)]
-pub(crate) struct MultiWaferOutcome {
-    /// Best feasible multi-wafer schedule, if any.
-    pub best: Option<MultiWaferReport>,
-    /// How much of the space was evaluated vs pruned.
-    pub stats: SearchStats,
-    /// Whether the search ran to completion or its budget truncated it.
-    pub outcome: Outcome,
-    /// Candidates whose evaluation panicked (isolated, never winners).
-    pub failures: Vec<CandidateFailure>,
-    /// Degradation counters of the leg's profile cache (all-zero on a
-    /// panic-free, injection-free run).
-    pub cache_stats: CacheStats,
+    let geo = plan_geometry(wafer, node.wafers, job, plan)?;
+    let stages = cache.stage_profiles(wafer, job, plan, geo.n_mb);
+    let floor = pipeline_floor(
+        cache,
+        CollectiveAlgo::RingBi,
+        geo.shape,
+        seam_step(node, geo.span).as_ref(),
+        &stages[..],
+        geo.n_mb,
+        wafer,
+    );
+    Some(
+        floor
+            + node_dp_allreduce_time(wafer, job, plan.tp, plan.pp, geo.parallel.dp, cache)
+                .as_secs(),
+    )
 }
 
 /// The stage-map family one `(span, tp, pp)` point emits, as
@@ -645,147 +496,96 @@ fn stage_map_family(pp: usize, groups: usize, filter: &PlanFilter) -> Vec<(Stage
     family
 }
 
-/// Implementation of the multi-wafer search (driven by
-/// [`crate::Explorer`]).
+/// The node leg of [`search_leg`] (driven by [`crate::Explorer`]).
 ///
 /// The baseline plan space — intra-wafer TP degrees that embed in one
 /// wafer, PP in multiples of the wafer count with balanced stage maps,
 /// every strategy in `opts.strategies` — is exactly the seed-era
-/// `TP × PP × strategy` sweep. `opts.plans` enlarges it: cross-wafer TP
-/// adds a `tp_span` axis over the divisors of the wafer count
-/// (per-wafer degrees scaled by the span), and uneven stage maps add
-/// every PP plus the remainder-shift family of explicit maps. The
-/// work-list is run through the shared bounded wave engine, honoring
-/// `opts.prune` / `opts.sequential` exactly like the single-wafer
-/// search. The result — winner *and* [`SearchStats`] — is identical to
-/// the exhaustive sequential sweep (`prune: false, sequential: true`) up
-/// to the instrumentation counters, and byte-identical across thread
-/// counts.
+/// `TP × PP × strategy` sweep, minus the points that strand more than
+/// half the node. `opts.plans` enlarges it: cross-wafer TP adds a
+/// `tp_span` axis over the divisors of the wafer count (per-wafer
+/// degrees scaled by the span), and uneven stage maps add every PP plus
+/// the remainder-shift family of explicit maps. With the
+/// `node_placement` knob on, every evaluated plan gets the node-level
+/// Alg. 3 pass (seeded by `opts.seed`, so the sweep stays a pure
+/// deterministic function of its inputs); the bound is unchanged — the
+/// refined schedule still dominates it, see [`node_lower_bound`].
 pub(crate) fn explore_multi_wafer_impl(
     node: &MultiWaferConfig,
     job: &TrainingJob,
     opts: &SchedulerOptions,
     ctx: &SessionCtx<'_>,
-) -> MultiWaferOutcome {
-    // Aggregate-memory precheck at the node level: if modelP cannot fit
-    // the node's total DRAM, no plan can help.
-    if model_p_total(&job.model).as_f64() > node.total_dram().as_f64() {
-        return MultiWaferOutcome {
-            best: None,
-            stats: SearchStats::default(),
-            outcome: Outcome::Complete,
-            failures: Vec::new(),
-            cache_stats: CacheStats::default(),
-        };
-    }
+) -> LegOutcome<MultiWaferReport> {
     let dies = node.total_dies();
     let wafers = node.wafers.max(1);
-
-    // TP spans to explore: intra-wafer always; with cross-wafer TP
-    // enabled, every divisor of the wafer count (TP groups span whole
-    // wafers and wafer groups partition the node).
-    let spans: Vec<usize> = (1..=wafers)
-        .filter(|&k| k == 1 || (opts.plans.cross_wafer_tp && wafers.is_multiple_of(k)))
-        .collect();
-
-    // ---- Flatten the search space. ----
-    // `decided[i]` marks points the per-die aggregate-memory precheck
-    // alone decides; they are never profiled in either sweep mode. The
-    // precheck quantity (`modelP / (tp·pp)` vs per-die DRAM) is
-    // independent of stage map and TP span, so one verdict decides the
-    // whole plan family of a `(tp, pp)` pair.
-    let mut items: Vec<WorkItem> = Vec::new();
-    let mut decided: Vec<bool> = Vec::new();
-    for span in spans {
-        let groups = wafers / span;
-        // Balanced-only sweeps keep PP in multiples of the group count
-        // (the seed-era shape); uneven maps open up every PP.
-        let step = if opts.plans.uneven_stage_maps {
-            1
-        } else {
-            groups
-        };
-        for tp_local in tp_candidates(&node.wafer, opts) {
-            let tp = tp_local * span;
-            let max_pp = (dies / tp.max(1)).min(job.model.layers);
-            for pp in (step..=max_pp).step_by(step) {
-                // Skip configurations that strand more than half the node.
-                if tp * pp < dies / 2 {
-                    continue;
-                }
-                let memory_decided = memory_precheck_fails(&node.wafer, job, tp, pp);
-                for (map, variant) in stage_map_family(pp, groups, &opts.plans) {
-                    // Unique per (tp, pp, sidx): spans collide on `tp`
-                    // (intra TP=4 vs 2×2 cross TP=4), so the span joins
-                    // the variant in the key. Lower spans and the
-                    // balanced map win ties.
-                    let pidx = span * (wafers + 1) + variant;
-                    for (sidx, &strategy) in opts.strategies.iter().enumerate() {
-                        items.push(WorkItem {
-                            plan: ParallelPlan {
-                                dp: 0,
-                                tp,
-                                pp,
-                                strategy,
-                                stage_map: map.clone(),
-                                tp_span: span,
-                            },
-                            sidx,
-                            pidx,
-                        });
-                        decided.push(memory_decided);
+    let work_list = || {
+        // TP spans to explore: intra-wafer always; with cross-wafer TP
+        // enabled, every divisor of the wafer count (TP groups span whole
+        // wafers and wafer groups partition the node).
+        let spans = (1..=wafers)
+            .filter(|&k| k == 1 || (opts.plans.cross_wafer_tp && wafers.is_multiple_of(k)));
+        let mut items = Vec::new();
+        for span in spans {
+            let groups = wafers / span;
+            // Balanced-only sweeps keep PP in multiples of the group count
+            // (the seed-era shape); uneven maps open up every PP.
+            let step = if opts.plans.uneven_stage_maps {
+                1
+            } else {
+                groups
+            };
+            for tp_local in tp_candidates(&node.wafer, opts) {
+                let tp = tp_local * span;
+                let max_pp = (dies / tp.max(1)).min(job.model.layers);
+                for pp in (step..=max_pp).step_by(step) {
+                    // Skip configurations that strand more than half the node.
+                    if tp * pp < dies / 2 {
+                        continue;
+                    }
+                    for (map, variant) in stage_map_family(pp, groups, &opts.plans) {
+                        // Unique per (tp, pp, sidx): spans collide on `tp`
+                        // (intra TP=4 vs 2×2 cross TP=4), so the span joins
+                        // the variant in the key. Lower spans and the
+                        // balanced map win ties.
+                        let pidx = span * (wafers + 1) + variant;
+                        for (sidx, &strategy) in opts.strategies.iter().enumerate() {
+                            items.push(WorkItem {
+                                plan: ParallelPlan {
+                                    dp: 0,
+                                    tp,
+                                    pp,
+                                    strategy,
+                                    stage_map: map.clone(),
+                                    tp_span: span,
+                                },
+                                sidx,
+                                pidx,
+                            });
+                        }
                     }
                 }
             }
         }
-    }
-
-    // An armed injection schedule builds its corrupted/poisoned cache
-    // (test/bench-only); production runs take the plain memo.
-    let cache = match ctx.inject {
-        Some(inj) if inj.is_armed() => inj.build_cache(),
-        _ => ProfileCache::new(),
+        items
     };
-    // Checkpoints emitted from this leg carry this cache's generation
-    // tag.
-    let ctx = SessionCtx {
-        generation: Some(cache.generation_handle()),
-        ..*ctx
-    };
-
-    // Bound-ordered evaluation waves on the shared engine. With the
-    // `node_placement` knob on, every evaluated plan gets the node-level
-    // Alg. 3 pass (seeded by `opts.seed`, so the sweep stays a pure
-    // deterministic function of its inputs); the bound is unchanged —
-    // the refined schedule still dominates it, see [`node_lower_bound`].
-    let WaveResult {
-        best,
-        stats,
-        outcome,
-        failures,
-    } = bounded_search(
-        &items,
-        &decided,
-        opts.prune,
-        opts.sequential,
-        &ctx,
-        |it| node_lower_bound(node, job, it, &cache),
-        |it| {
-            if opts.node_placement {
-                evaluate_multi_wafer_plan_placed(node, job, &it.plan, &cache, opts.seed)
+    search_leg(
+        &node.wafer,
+        dies,
+        job,
+        opts,
+        ctx,
+        work_list,
+        |it, cache| node_lower_bound(node, job, &it.plan, cache),
+        |it, cache| {
+            let report = if opts.node_placement {
+                evaluate_multi_wafer_plan_placed(node, job, &it.plan, cache, opts.seed)
             } else {
-                evaluate_multi_wafer_plan_cached(node, job, &it.plan, &cache)
-            }
+                evaluate_multi_wafer_plan_cached(node, job, &it.plan, cache)
+            }?;
+            let score = report.iteration.as_secs();
+            Some((report, score))
         },
-        |r| r.iteration.as_secs(),
-    );
-    MultiWaferOutcome {
-        best,
-        stats,
-        outcome,
-        failures,
-        cache_stats: cache.stats(),
-    }
+    )
 }
 
 /// Binomial coefficient `C(n, k)` as an f64 (exact for the wafer counts
@@ -924,8 +724,24 @@ mod tests {
         }
     }
 
+    fn search(
+        node: &MultiWaferConfig,
+        job: &TrainingJob,
+        opts: &SchedulerOptions,
+    ) -> LegOutcome<MultiWaferReport> {
+        explore_multi_wafer_impl(node, job, opts, &SessionCtx::none())
+    }
+
+    fn winner(
+        node: &MultiWaferConfig,
+        job: &TrainingJob,
+        opts: &SchedulerOptions,
+    ) -> Option<MultiWaferReport> {
+        search(node, job, opts).best.map(|(r, _)| r)
+    }
+
     fn best_of(node: &MultiWaferConfig, job: &TrainingJob) -> Option<MultiWaferReport> {
-        explore_multi_wafer_impl(node, job, &seq_par_opts(), &SessionCtx::none()).best
+        winner(node, job, &seq_par_opts())
     }
 
     #[test]
@@ -965,10 +781,11 @@ mod tests {
     fn infeasible_pp_combo_rejected() {
         let node = presets::multi_wafer_18();
         let job = TrainingJob::standard(zoo::gpt_175b());
-        assert!(evaluate_multi_wafer_plan(
+        assert!(evaluate_multi_wafer_plan_cached(
             &node,
             &job,
-            &ParallelPlan::balanced(4, 1000, TpSplitStrategy::SequenceParallel, node.wafers)
+            &ParallelPlan::balanced(4, 1000, TpSplitStrategy::SequenceParallel, node.wafers),
+            &ProfileCache::new(),
         )
         .is_none());
     }
@@ -1005,18 +822,18 @@ mod tests {
         let job = TrainingJob::standard(zoo::gpt_175b());
         // tp_span must divide tp.
         let p = ParallelPlan::balanced(6, 8, TpSplitStrategy::SequenceParallel, 2).with_tp_span(4);
-        assert!(evaluate_multi_wafer_plan(&node, &job, &p).is_none());
+        assert!(evaluate_multi_wafer_plan_cached(&node, &job, &p, &ProfileCache::new()).is_none());
         // tp_span must divide the wafer count.
         let p = ParallelPlan::balanced(9, 8, TpSplitStrategy::SequenceParallel, 1).with_tp_span(3);
-        assert!(evaluate_multi_wafer_plan(&node, &job, &p).is_none());
+        assert!(evaluate_multi_wafer_plan_cached(&node, &job, &p, &ProfileCache::new()).is_none());
         // Explicit map of the wrong length.
         let p = ParallelPlan::intra(4, 8, TpSplitStrategy::SequenceParallel)
             .with_stage_map(StageMap::Explicit(vec![0, 0, 1, 1]));
-        assert!(evaluate_multi_wafer_plan(&node, &job, &p).is_none());
+        assert!(evaluate_multi_wafer_plan_cached(&node, &job, &p, &ProfileCache::new()).is_none());
         // Explicit map using more groups than the node has.
         let p = ParallelPlan::intra(4, 8, TpSplitStrategy::SequenceParallel)
             .with_stage_map(StageMap::Explicit(vec![0, 0, 1, 1, 2, 2, 3, 4]));
-        assert!(evaluate_multi_wafer_plan(&node, &job, &p).is_none());
+        assert!(evaluate_multi_wafer_plan_cached(&node, &job, &p, &ProfileCache::new()).is_none());
     }
 
     #[test]
@@ -1033,8 +850,10 @@ mod tests {
             ParallelPlan::balanced(8, 28, TpSplitStrategy::SequenceParallel, 2).with_tp_span(2);
         let intra = ParallelPlan::balanced(8, 28, TpSplitStrategy::SequenceParallel, 4);
         let (cf, cs) = (
-            evaluate_multi_wafer_plan(&fast, &job, &cross).expect("cross feasible"),
-            evaluate_multi_wafer_plan(&slow, &job, &cross).expect("cross feasible"),
+            evaluate_multi_wafer_plan_cached(&fast, &job, &cross, &ProfileCache::new())
+                .expect("cross feasible"),
+            evaluate_multi_wafer_plan_cached(&slow, &job, &cross, &ProfileCache::new())
+                .expect("cross feasible"),
         );
         assert!(
             cs.iteration.as_secs() > cf.iteration.as_secs() * 1.01,
@@ -1043,8 +862,8 @@ mod tests {
             cf.iteration
         );
         let (ifa, isl) = (
-            evaluate_multi_wafer_plan(&fast, &job, &intra),
-            evaluate_multi_wafer_plan(&slow, &job, &intra),
+            evaluate_multi_wafer_plan_cached(&fast, &job, &intra, &ProfileCache::new()),
+            evaluate_multi_wafer_plan_cached(&slow, &job, &intra, &ProfileCache::new()),
         );
         // Intra-wafer TP collectives never touch the seam; only the
         // (few) boundary p2p transfers do.
@@ -1064,24 +883,15 @@ mod tests {
         // search can never return a slower winner.
         let node = presets::multi_wafer_4();
         let job = TrainingJob::standard(zoo::llama3_405b());
-        let base = explore_multi_wafer_impl(
-            &node,
-            &job,
-            &SchedulerOptions::default(),
-            &SessionCtx::none(),
-        )
-        .best
-        .expect("baseline feasible");
-        let enlarged = explore_multi_wafer_impl(
+        let base = winner(&node, &job, &SchedulerOptions::default()).expect("baseline feasible");
+        let enlarged = winner(
             &node,
             &job,
             &SchedulerOptions {
                 plans: PlanFilter::all(),
                 ..SchedulerOptions::default()
             },
-            &SessionCtx::none(),
         )
-        .best
         .expect("enlarged feasible");
         assert!(
             enlarged.iteration.as_secs() <= base.iteration.as_secs(),
@@ -1098,17 +908,16 @@ mod tests {
         // pruning only changes the instrumentation counters.
         let node = presets::multi_wafer_18();
         let job = TrainingJob::standard(zoo::llama3_405b());
-        let pruned = explore_multi_wafer_impl(&node, &job, &seq_par_opts(), &SessionCtx::none());
-        let pruned_seq = explore_multi_wafer_impl(
+        let pruned = search(&node, &job, &seq_par_opts());
+        let pruned_seq = search(
             &node,
             &job,
             &SchedulerOptions {
                 sequential: true,
                 ..seq_par_opts()
             },
-            &SessionCtx::none(),
         );
-        let exhaustive = explore_multi_wafer_impl(
+        let exhaustive = search(
             &node,
             &job,
             &SchedulerOptions {
@@ -1116,7 +925,6 @@ mod tests {
                 sequential: true,
                 ..seq_par_opts()
             },
-            &SessionCtx::none(),
         );
         assert_eq!(pruned.best, pruned_seq.best);
         assert_eq!(pruned.stats, pruned_seq.stats);
@@ -1133,25 +941,16 @@ mod tests {
         // than either single-strategy sweep (it searches a superset).
         let node = presets::multi_wafer_18();
         let job = TrainingJob::standard(zoo::llama3_405b());
-        let both = explore_multi_wafer_impl(
-            &node,
-            &job,
-            &SchedulerOptions::default(),
-            &SessionCtx::none(),
-        )
-        .best
-        .expect("feasible");
+        let both = winner(&node, &job, &SchedulerOptions::default()).expect("feasible");
         for strategy in [TpSplitStrategy::Megatron, TpSplitStrategy::SequenceParallel] {
-            let single = explore_multi_wafer_impl(
+            let single = winner(
                 &node,
                 &job,
                 &SchedulerOptions {
                     strategies: vec![strategy],
                     ..SchedulerOptions::default()
                 },
-                &SessionCtx::none(),
-            )
-            .best;
+            );
             if let Some(single) = single {
                 assert!(
                     both.iteration.as_secs() <= single.iteration.as_secs(),
@@ -1165,12 +964,7 @@ mod tests {
     fn search_stats_are_consistent() {
         let node = presets::multi_wafer_18();
         let job = TrainingJob::standard(zoo::llama3_405b());
-        let out = explore_multi_wafer_impl(
-            &node,
-            &job,
-            &SchedulerOptions::default(),
-            &SessionCtx::none(),
-        );
+        let out = search(&node, &job, &SchedulerOptions::default());
         let s = out.stats;
         assert!(s.visited > 0);
         assert_eq!(s.visited, s.pruned + s.evaluated);
@@ -1186,14 +980,9 @@ mod tests {
         let mut model = zoo::deepseek_v3();
         model.layers *= 8;
         let job = TrainingJob::standard(model);
-        let out = explore_multi_wafer_impl(
-            &node,
-            &job,
-            &SchedulerOptions::default(),
-            &SessionCtx::none(),
-        );
+        let out = search(&node, &job, &SchedulerOptions::default());
         assert!(out.best.is_none());
-        assert_eq!(out.stats, SearchStats::default());
+        assert_eq!(out.stats, crate::SearchStats::default());
     }
 
     #[test]
@@ -1205,10 +994,11 @@ mod tests {
         let mut evaluated = 0;
         for pp in [14, 27, 54] {
             // pp % 4 != 0 for any of these.
-            if let Some(r) = evaluate_multi_wafer_plan(
+            if let Some(r) = evaluate_multi_wafer_plan_cached(
                 &node,
                 &job,
                 &ParallelPlan::balanced(4, pp, TpSplitStrategy::SequenceParallel, node.wafers),
+                &ProfileCache::new(),
             ) {
                 evaluated += 1;
                 assert!(r.feasible);
@@ -1319,19 +1109,15 @@ mod tests {
     fn node_placement_search_never_loses_to_baseline() {
         let node = presets::multi_wafer_18();
         let job = TrainingJob::standard(zoo::llama3_405b());
-        let base = explore_multi_wafer_impl(&node, &job, &seq_par_opts(), &SessionCtx::none())
-            .best
-            .expect("feasible");
-        let placed = explore_multi_wafer_impl(
+        let base = winner(&node, &job, &seq_par_opts()).expect("feasible");
+        let placed = winner(
             &node,
             &job,
             &SchedulerOptions {
                 node_placement: true,
                 ..seq_par_opts()
             },
-            &SessionCtx::none(),
         )
-        .best
         .expect("feasible");
         assert!(
             placed.iteration.as_secs() <= base.iteration.as_secs(),
@@ -1355,8 +1141,8 @@ mod tests {
             node_placement: true,
             ..seq_par_opts()
         };
-        let pruned = explore_multi_wafer_impl(&node, &job, &opts, &SessionCtx::none());
-        let exhaustive = explore_multi_wafer_impl(
+        let pruned = search(&node, &job, &opts);
+        let exhaustive = search(
             &node,
             &job,
             &SchedulerOptions {
@@ -1364,7 +1150,6 @@ mod tests {
                 sequential: true,
                 ..opts.clone()
             },
-            &SessionCtx::none(),
         );
         assert_eq!(pruned.best, exhaustive.best);
         assert_eq!(pruned.stats.visited, exhaustive.stats.visited);
@@ -1384,12 +1169,8 @@ mod tests {
         one_slow.w2w_latency = Time::from_millis(10.0);
         let job = TrainingJob::standard(zoo::llama2_30b());
         let opts = SchedulerOptions::default();
-        let r = explore_multi_wafer_impl(&one, &job, &opts, &SessionCtx::none())
-            .best
-            .expect("fits one wafer");
-        let r_slow = explore_multi_wafer_impl(&one_slow, &job, &opts, &SessionCtx::none())
-            .best
-            .expect("fits one wafer");
+        let r = winner(&one, &job, &opts).expect("fits one wafer");
+        let r_slow = winner(&one_slow, &job, &opts).expect("fits one wafer");
         assert_eq!(r.w2w_boundary_fraction, 0.0);
         assert_eq!(r, r_slow, "W2W parameters must be irrelevant at wafers=1");
         // The node-placement pass keeps that property: one group means
@@ -1398,12 +1179,8 @@ mod tests {
             node_placement: true,
             ..opts
         };
-        let p = explore_multi_wafer_impl(&one, &job, &placed_opts, &SessionCtx::none())
-            .best
-            .expect("fits one wafer");
-        let p_slow = explore_multi_wafer_impl(&one_slow, &job, &placed_opts, &SessionCtx::none())
-            .best
-            .expect("fits one wafer");
+        let p = winner(&one, &job, &placed_opts).expect("fits one wafer");
+        let p_slow = winner(&one_slow, &job, &placed_opts).expect("fits one wafer");
         assert_eq!(
             p, p_slow,
             "W2W parameters must stay irrelevant at wafers=1 with placement on"

@@ -185,7 +185,7 @@ pub(crate) fn fault_sweep_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::schedule_plan;
+    use crate::scheduler::schedule_plan_cached;
     use rand::rngs::StdRng;
     use rand::{Rng as _, SeedableRng as _};
     use wsc_arch::presets;
@@ -222,12 +222,13 @@ mod tests {
             strategies: vec![TpSplitStrategy::Megatron],
             ..SchedulerOptions::default()
         };
-        let cfg = schedule_plan(
+        let cfg = schedule_plan_cached(
             &wafer,
             &job,
             &ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron),
             &opts,
             None,
+            &ProfileCache::new(),
         )
         .expect("schedulable");
         (wafer, job, cfg)
@@ -365,12 +366,13 @@ mod tests {
             strategies: vec![TpSplitStrategy::SequenceParallel],
             ..SchedulerOptions::default()
         };
-        let cfg = schedule_plan(
+        let cfg = schedule_plan_cached(
             &wafer,
             &job,
             &ParallelPlan::intra(2, 7, TpSplitStrategy::SequenceParallel),
             &opts,
             None,
+            &ProfileCache::new(),
         )
         .expect("schedulable");
         let rates = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
@@ -416,12 +418,13 @@ mod tests {
                 strategies: vec![strategy],
                 ..SchedulerOptions::default()
             };
-            let Some(cfg) = schedule_plan(
+            let Some(cfg) = schedule_plan_cached(
                 &wafer,
                 &job,
                 &ParallelPlan::intra(tp, pp, strategy),
                 &opts,
                 None,
+                &ProfileCache::new(),
             ) else {
                 // Infeasible draw (the model may not fit this plan);
                 // redraw rather than count it toward the sample budget.

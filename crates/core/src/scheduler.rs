@@ -9,11 +9,13 @@
 //! with the GA global optimizer; and evaluates the result, keeping the
 //! best configuration (line 7–8).
 //!
-//! The sweep itself runs on the shared bounded wave engine
-//! (`crate::wave`, also behind the multi-wafer search): the line 1–2
-//! memory precheck decides points before any profile is built, the
-//! survivors are sorted by an analytic lower bound (compute plus ideal
-//! collective time, from cached stage profiles) and
+//! One driver, `search_leg`, runs this sweep for a single wafer — a
+//! one-wafer node — and for a §VI-F multi-wafer node
+//! ([`crate::multiwafer`]); `plan_geometry` derives what a plan means
+//! on either. On the shared bounded wave engine (`crate::wave`) the
+//! line 1–2 memory precheck decides points before any profile is
+//! built, the survivors are sorted by an analytic lower bound (compute
+//! plus ideal collective time, from cached stage profiles) and
 //! evaluated in deterministic ramped waves, and the incumbent best
 //! prunes the bound-ordered tail. Winner and [`SearchStats`] are
 //! byte-identical across thread counts and vs the exhaustive sweep.
@@ -87,14 +89,16 @@ impl PlanFilter {
 
 /// Scheduler knobs (the ablation switches of Fig. 18 map directly here).
 ///
-/// The same option set is handed to both search engines behind
-/// [`crate::Explorer`]. The Alg. 1 single-wafer sweep honors every
-/// knob; the §VI-F multi-wafer sweep ([`crate::multiwafer`]) honors the
-/// search-shaping knobs (`strategies`, `tp_candidates`, `allow_odd_tp`,
-/// `plans`, `prune`, `sequential`) plus `node_placement` (and, with it
-/// on, `seed`, which drives the node-level Alg. 3 hill climb) but fixes
-/// its evaluator to ring collectives + GCMR, so `collectives`,
-/// `recompute`, `memory_scheduler`, `ga` and `punish` do not affect it.
+/// The same option set drives both legs of the one search driver behind
+/// [`crate::Explorer`]. The search-shaping knobs (`strategies`,
+/// `tp_candidates`, `allow_odd_tp`, `prune`, `sequential`) shape every
+/// leg's sweep. The single-wafer leg honors every other knob too, except
+/// `plans` and `node_placement`, which only a multi-wafer node has a
+/// seam for. The node leg honors `plans` and `node_placement` (and,
+/// with it on, `seed`, which drives the node-level Alg. 3 hill climb)
+/// but fixes its evaluator to ring collectives + GCMR, so
+/// `collectives`, `recompute`, `memory_scheduler`, `ga` and `punish` do
+/// not affect it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerOptions {
     /// TP partition strategies to explore (the set `S` of Alg. 1).
@@ -257,48 +261,77 @@ pub(crate) fn memory_precheck_fails(
     model_p_total(&job.model).as_f64() / (tp * pp) as f64 > wafer.dram.capacity.as_f64()
 }
 
-/// The derived geometry of one single-wafer [`ParallelPlan`]: TP tile
-/// shape, resolved data parallelism, micro-batch count, sharding
-/// context. One function computes it for both the full scheduler and
-/// the lower-bound pruner, so the two can never disagree on what a plan
-/// means. `None` = statically infeasible (bad pp, a plan that is not
-/// single-wafer-shaped, no tile embedding, or the Alg. 1 line 1–2
-/// aggregate-memory precheck fails).
-struct ConfigGeometry {
-    shape: GroupShape,
-    parallel: ParallelSpec,
-    n_mb: usize,
-    ctx: ShardingCtx,
+/// The derived geometry of one [`ParallelPlan`] on a node of `wafers`
+/// identical wafers — a single wafer is `wafers = 1`: the resolved
+/// stage → wafer-group assignment, per-wafer TP tile shape, data
+/// parallelism, micro-batch count and sharding context. One function
+/// computes it for both legs' evaluators and lower bounds, so no two of
+/// them can disagree on what a plan means.
+pub(crate) struct PlanGeometry {
+    /// Stage → wafer-group index (`pp` entries).
+    pub assignment: Vec<usize>,
+    /// Wafers one TP group spans (`plan.tp_span`).
+    pub span: usize,
+    /// Per-wafer TP tile shape (`tp / span` dies).
+    pub shape: GroupShape,
+    /// Parallelism with `dp` resolved.
+    pub parallel: ParallelSpec,
+    /// Micro-batches per iteration at the resolved `dp`.
+    pub n_mb: usize,
+    /// Sharding context of the plan.
+    pub ctx: ShardingCtx,
 }
 
-fn config_geometry(
+/// [`PlanGeometry`] of `plan` on `wafers` copies of `wafer`. `None` =
+/// statically infeasible: a zero degree or `pp` above the layer count, a
+/// `tp_span` that divides neither `tp` nor the wafer count (at one wafer
+/// only span 1 passes), a stage map invalid for the node's wafer groups
+/// (at one wafer only single-wafer-shaped maps pass), the Alg. 1 line
+/// 1–2 aggregate-memory precheck (`modelP / (tp·pp)` must fit the
+/// per-die DRAM — independent of `tp_span`, which only moves the same
+/// dies across seams), no tile embedding, or more stages on one wafer
+/// than it has tile slots. The precheck runs *before* any stage profile
+/// is built, so memory-decided points cost nothing in either sweep mode.
+pub(crate) fn plan_geometry(
     wafer: &WaferConfig,
+    wafers: usize,
     job: &TrainingJob,
     plan: &ParallelPlan,
-) -> Option<ConfigGeometry> {
-    let (tp, pp) = (plan.tp, plan.pp);
-    if plan.validate().is_err() || pp > job.model.layers {
+) -> Option<PlanGeometry> {
+    let (tp, pp, span) = (plan.tp, plan.pp, plan.tp_span);
+    if tp == 0 || pp == 0 || span == 0 || pp > job.model.layers {
         return None;
     }
-    // A single wafer has no seam: only intra-wafer TP with every stage
-    // on this wafer is schedulable here.
-    if plan.tp_span != 1 || plan.stage_map.wafer_count() != 1 {
+    // A TP group spans whole wafers; wafer groups partition the node.
+    let wafers = wafers.max(1);
+    if !tp.is_multiple_of(span) || !wafers.is_multiple_of(span) {
         return None;
     }
-    // Alg. 1 line 1–2: early pruning on aggregate modelP.
+    let groups = wafers / span;
+    if plan.stage_map.validate(pp, groups).is_err() {
+        return None;
+    }
     if memory_precheck_fails(wafer, job, tp, pp) {
         return None;
     }
-    let (tile_w, tile_h) = placement::choose_tile(wafer.nx, wafer.ny, tp, pp)?;
-    let slots = (wafer.nx / tile_w) * (wafer.ny / tile_h);
-    let dp_max = (job.global_batch / job.micro_batch).max(1);
-    let mut dp = (slots / pp).clamp(1, dp_max);
+    let max_per_group = plan.stage_map.max_stages_per_wafer(pp);
+    // Each wafer of a group hosts `tp / span` dies of every TP group and
+    // one tile slot per stage of the group.
+    let (tw, th) = placement::choose_tile(wafer.nx, wafer.ny, tp / span, max_per_group)?;
+    let slots_per_wafer = (wafer.nx / tw) * (wafer.ny / th);
+    if max_per_group > slots_per_wafer {
+        return None;
+    }
+    let mut dp =
+        (slots_per_wafer / max_per_group).clamp(1, (job.global_batch / job.micro_batch).max(1));
     if plan.dp > 0 {
-        // A pinned DP can only narrow what the wafer supports.
+        // A pinned DP can only narrow what the node supports.
         dp = dp.min(plan.dp);
     }
-    Some(ConfigGeometry {
-        shape: GroupShape::new(tile_w, tile_h),
+    Some(PlanGeometry {
+        assignment: plan.stage_map.assignments(pp),
+        span,
+        shape: GroupShape::new(tw, th),
         parallel: ParallelSpec::new(dp, tp, pp),
         n_mb: job.microbatches(dp),
         ctx: plan.sharding_ctx(job),
@@ -307,7 +340,7 @@ fn config_geometry(
 
 /// The collective algorithm the scheduler uses for a point: cheapest
 /// supported algorithm at the first stage's typical per-op volume.
-/// Shared by [`schedule_fixed_cached`] and the lower-bound pruner.
+/// Shared by [`schedule_plan_cached`] and the lower-bound pruner.
 fn choose_collective(
     opts: &SchedulerOptions,
     wafer: &WaferConfig,
@@ -348,27 +381,12 @@ fn pick_collective(
     best.map(|(a, _)| a)
 }
 
-/// Schedule a fixed [`ParallelPlan`]: run the downstream schedulers and
-/// evaluate. This is the Alg. 1 loop body, also used directly by the
-/// ablation and baseline experiments.
-///
-/// One-shot wrapper around [`schedule_plan_cached`] with a private
-/// cache; searches and sweeps that revisit configurations should hold a
-/// [`ProfileCache`] and call the cached variant.
-pub fn schedule_plan(
-    wafer: &WaferConfig,
-    job: &TrainingJob,
-    plan: &ParallelPlan,
-    opts: &SchedulerOptions,
-    faults: Option<&FaultMap>,
-) -> Option<ScheduledConfig> {
-    let cache = ProfileCache::new();
-    schedule_plan_cached(wafer, job, plan, opts, faults, &cache)
-}
-
-/// [`schedule_plan`] with a shared [`ProfileCache`]: stage profiles and
-/// collective-time lookups are reused across every plan the cache has
-/// seen for this `(wafer, job)` pair.
+/// Schedule a fixed [`ParallelPlan`] on one wafer: run the downstream
+/// schedulers and evaluate. This is the Alg. 1 loop body, also used
+/// directly by the ablation and baseline experiments. Stage profiles and
+/// collective-time lookups are memoized in `cache` and reused across
+/// every plan it has seen for this `(wafer, job)` pair; a one-off call
+/// passes `&ProfileCache::new()`.
 pub fn schedule_plan_cached(
     wafer: &WaferConfig,
     job: &TrainingJob,
@@ -377,12 +395,13 @@ pub fn schedule_plan_cached(
     faults: Option<&FaultMap>,
     cache: &ProfileCache,
 ) -> Option<ScheduledConfig> {
-    let ConfigGeometry {
+    let PlanGeometry {
         shape,
         parallel,
         n_mb,
         ctx,
-    } = config_geometry(wafer, job, plan)?;
+        ..
+    } = plan_geometry(wafer, 1, job, plan)?;
     let pp = plan.pp;
     let stages = cache.stage_profiles(wafer, job, plan, n_mb);
     let cap = wafer.dram.capacity;
@@ -545,128 +564,72 @@ pub fn schedule_plan_cached(
     })
 }
 
-/// Outcome of one Alg. 1 search: the winner plus instrumentation.
+/// Outcome of one search leg — a single wafer's Alg. 1 sweep or a
+/// node's §VI-F sweep, both run by [`search_leg`].
 #[derive(Debug)]
-pub(crate) struct SearchOutcome {
-    /// Best feasible configuration, if any.
-    pub best: Option<ScheduledConfig>,
+pub(crate) struct LegOutcome<C> {
+    /// Best feasible candidate, with the score it won on.
+    pub best: Option<(C, f64)>,
     /// How much of the space was scheduled vs pruned.
     pub stats: SearchStats,
     /// Whether the search ran to completion or its budget truncated it.
     pub outcome: Outcome,
     /// Candidates whose evaluation panicked (isolated, never winners).
     pub failures: Vec<CandidateFailure>,
-    /// The search's own profile cache, handed back so downstream sweeps
+    /// The leg's own profile cache, handed back so downstream sweeps
     /// (fault sweeps, ensemble scoring, baselines) reuse the winner's
     /// stage profiles instead of rebuilding them from scratch.
     pub cache: ProfileCache,
 }
 
-/// Analytic lower bound (seconds) on the iteration time any feasible
-/// schedule of `(tp, pp, strategy)` can achieve, from
-/// compute-plus-collective totals of the cached stage profiles:
+/// The one search driver behind both legs of an [`crate::Explorer`]
+/// session: the Alg. 1 `TP × PP × strategy` sweep, in which a single
+/// wafer is a one-wafer node and a §VI-F multi-wafer node is `dies`
+/// dies of identical `wafer`s.
 ///
-/// * 1F1B steady state — the bottleneck stage serializes all `n` micro-
-///   batches: `n · max_s(fwd_s + bwd_s)`;
-/// * pipeline critical path — micro-batch 0 traverses every stage down
-///   and back: `Σ_s (fwd_s + bwd_s)`;
-/// * plus the DP gradient all-reduce and the optimizer DRAM stream,
-///   which the evaluator adds verbatim.
+/// The driver owns everything the legs share:
 ///
-/// Recomputation, p2p transfers and routing contention only ever add
-/// time, so the bound never exceeds the true evaluation.
-/// `None` = statically infeasible (memory precheck or no collective).
-fn config_lower_bound(
+/// * the node-level Alg. 1 line 1–2 early exit — when `modelP` cannot
+///   fit even spread over all `dies`, no plan can, and the leg returns
+///   empty stats without enumerating anything;
+/// * the work-list's `decided` mask: the per-plan aggregate-memory
+///   precheck ([`memory_precheck_fails`]) decides points without
+///   building a stage profile, in the pruned and the exhaustive mode;
+/// * the leg's [`ProfileCache`], built through the injection harness
+///   when one is armed, and the generation tag its checkpoints carry;
+/// * the bound-ordered wave search (`bounded_search`), honoring
+///   `opts.prune` and `opts.sequential`.
+///
+/// Each leg brings only what really differs: its `work_list`
+/// enumeration and its `bound` and `eval` closures (`eval` returns the
+/// candidate with the score it competes on). Kept apart on purpose —
+/// merging any of these changes results or pinned winners:
+///
+/// | | single wafer ([`explore_impl`]) | node (`explore_multi_wafer_impl`) |
+/// |---|---|---|
+/// | evaluator | [`crate::evaluate`]: routed p2p, faults, optimizer step | `crate::multiwafer`'s 1F1B model with W2W seam p2p |
+/// | placement | [`placement::optimize`] + [`allocate`], GA refinement of the winner | [`placement::optimize_node`] + [`crate::allocate_node`] behind `node_placement` |
+/// | DP all-reduce group | `min(dp, nx) × ⌈dp / nx⌉` | `min(dp, nx) × 1` (differs once `dp > nx`) |
+/// | optimizer DRAM stream | charged (evaluator and bound) | not charged |
+/// | stranding filter | skip when `tp · pp · dp` < dies / 2, `dp` from the tile slots | skip when `tp · pp` < dies / 2 |
+///
+/// The result — winner *and* [`SearchStats`] — is identical to the
+/// exhaustive sequential sweep (`prune: false, sequential: true`) up to
+/// the instrumentation counters, and byte-identical across thread
+/// counts.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn search_leg<C: Send>(
     wafer: &WaferConfig,
-    job: &TrainingJob,
-    item: &WorkItem,
-    opts: &SchedulerOptions,
-    cache: &ProfileCache,
-) -> Option<f64> {
-    let (tp, pp) = (item.plan.tp, item.plan.pp);
-    let ConfigGeometry {
-        shape,
-        parallel,
-        n_mb,
-        ctx: _,
-    } = config_geometry(wafer, job, &item.plan)?;
-    let stages = cache.stage_profiles(wafer, job, &item.plan, n_mb);
-    let link_bw = wafer.d2d_link_bw();
-    let alpha = wafer.d2d_link_latency;
-    // Same collective the full scheduler will pick for this shape.
-    let collective = choose_collective(opts, wafer, shape, &stages[..], cache)?;
-
-    // Per-micro-batch stage times at healthy link bandwidth, using the
-    // evaluator's own comm-time formula (exact: the search evaluates
-    // fault-free, and recompute/p2p only ever add time).
-    let mut max_mb = 0.0f64;
-    let mut sum_mb = 0.0f64;
-    for sp in stages.iter() {
-        let (fwd_comm, bwd_comm) =
-            evaluator::stage_comm_times(Some(cache), collective, shape, sp, link_bw, alpha);
-        let mb = (sp.fwd_compute + fwd_comm + sp.bwd_compute + bwd_comm).as_secs();
-        max_mb = max_mb.max(mb);
-        sum_mb += mb;
-    }
-    let bound = (n_mb as f64 * max_mb).max(sum_mb)
-        + evaluator::dp_allreduce_time(
-            Some(cache),
-            collective,
-            wafer,
-            job,
-            tp,
-            pp,
-            parallel.dp,
-            alpha,
-        )
-        .as_secs()
-        + evaluator::optimizer_stream_time(&stages[..], wafer).as_secs();
-    Some(bound)
-}
-
-/// Implementation of the Alg. 1 single-wafer search (driven by
-/// [`crate::Explorer`]).
-///
-/// The intra-wafer [`ParallelPlan`] space (`TP × PP × strategy`, all
-/// stages on this wafer) is flattened into a work-list,
-/// lower-bounded analytically (memory-precheck-decided points are
-/// short-circuited without building stage profiles), sorted by bound,
-/// and evaluated in deterministic ramped parallel waves; after each wave
-/// the incumbent best prunes every remaining point whose bound it beats.
-/// The result — winner *and*
-/// [`SearchStats`] — is identical to the exhaustive sequential sweep
-/// (`prune: false`, `sequential: true`) up to the instrumentation
-/// counters, and byte-identical across thread counts.
-///
-/// With `fault_aware` set, candidates are ranked by
-/// [`crate::goodput::ensemble_effective_secs`] — the checkpoint-aware effective
-/// iteration time over the spec's Monte-Carlo wafer population — instead
-/// of the clean iteration time. The analytic bound stays the *clean*
-/// lower bound, which remains sound because every fault/checkpoint
-/// transformation only ever adds time (`crate::goodput` module docs);
-/// the pruned ≡ exhaustive equivalence therefore holds unchanged, and
-/// the `search_equivalence` proptests pin it with the fault axes on.
-///
-/// With `serving` set, candidates are instead ranked by the
-/// [`ServingModel`]'s score (e.g. negated goodput-under-SLO from the
-/// `wsc-serve` continuous-batching simulator) and bounded by its
-/// analytic serving bound — the trait carries its own soundness
-/// obligation (`crate::serving` module docs), and `tests/serving.rs`
-/// pins pruned ≡ exhaustive for that leg. The two ranking overrides
-/// are mutually exclusive; [`crate::ExplorerBuilder::build`] rejects
-/// the combination.
-pub(crate) fn explore_impl(
-    wafer: &WaferConfig,
+    dies: usize,
     job: &TrainingJob,
     opts: &SchedulerOptions,
-    fault_aware: Option<&FaultAwareSpec>,
-    serving: Option<&dyn ServingModel>,
     ctx: &SessionCtx<'_>,
-) -> SearchOutcome {
-    // Alg. 1 line 1–2 at the wafer level.
-    let dies = wafer.die_count();
-    if model_p_total(&job.model).as_f64() / dies as f64 > wafer.dram.capacity.as_f64() {
-        return SearchOutcome {
+    work_list: impl FnOnce() -> Vec<WorkItem>,
+    bound: impl Fn(&WorkItem, &ProfileCache) -> Option<f64> + Sync,
+    eval: impl Fn(&WorkItem, &ProfileCache) -> Option<(C, f64)> + Sync,
+) -> LegOutcome<C> {
+    if memory_precheck_fails(wafer, job, dies, 1) {
+        return LegOutcome {
             best: None,
             stats: SearchStats::default(),
             outcome: Outcome::Complete,
@@ -674,38 +637,11 @@ pub(crate) fn explore_impl(
             cache: ProfileCache::new(),
         };
     }
-
-    // ---- Flatten the search space. ----
-    // `decided[i]` marks points the Alg. 1 line 1–2 aggregate-memory
-    // precheck alone decides (modelP per die cannot fit the die's DRAM):
-    // the bound phase, the pruned waves AND the exhaustive sweep all
-    // short-circuit them without building stage profiles or running the
-    // downstream schedulers.
-    let mut items: Vec<WorkItem> = Vec::new();
-    let mut decided: Vec<bool> = Vec::new();
-    for tp in tp_candidates(wafer, opts) {
-        let max_pp = (dies / tp).min(job.model.layers);
-        for pp in 1..=max_pp {
-            // Skip configurations that strand more than half the wafer.
-            let Some((tw, th)) = placement::choose_tile(wafer.nx, wafer.ny, tp, pp) else {
-                continue;
-            };
-            let slots = (wafer.nx / tw) * (wafer.ny / th);
-            if tp * pp * ((slots / pp).max(1)).min(job.global_batch / job.micro_batch) < dies / 2 {
-                continue;
-            }
-            let memory_decided = memory_precheck_fails(wafer, job, tp, pp);
-            for (sidx, &strategy) in opts.strategies.iter().enumerate() {
-                items.push(WorkItem {
-                    plan: ParallelPlan::intra(tp, pp, strategy),
-                    sidx,
-                    pidx: 0,
-                });
-                decided.push(memory_decided);
-            }
-        }
-    }
-
+    let items = work_list();
+    let decided: Vec<bool> = items
+        .iter()
+        .map(|it| memory_precheck_fails(wafer, job, it.plan.tp, it.plan.pp))
+        .collect();
     // An armed injection schedule builds its corrupted/poisoned cache
     // (test/bench-only); production runs take the plain memo.
     let cache = match ctx.inject {
@@ -718,39 +654,8 @@ pub(crate) fn explore_impl(
         generation: Some(cache.generation_handle()),
         ..*ctx
     };
-
-    // The score the incumbent competes on: clean iteration seconds, or —
-    // fault-aware — the ensemble-aggregated effective seconds. Computed
-    // once per evaluated candidate and carried alongside it, so the wave
-    // loop's repeated incumbent reads never re-run the ensemble. The
-    // ensemble loop honors the session deadline: a candidate the budget
-    // interrupts mid-ensemble scores INFINITY and is dropped below.
-    let score_of = |cfg: &ScheduledConfig| {
-        if let Some(model) = serving {
-            return model.score(wafer, job, cfg, &cache);
-        }
-        match fault_aware {
-            Some(fa) => ensemble_effective_secs_within(
-                wafer,
-                job,
-                cfg,
-                &fa.ensemble,
-                fa.objective,
-                &cache,
-                ctx.deadline,
-            ),
-            None => cfg.report.iteration.as_secs(),
-        }
-    };
-
-    // Bound-ordered evaluation waves on the shared engine. The loop body
-    // runs without the GA; the GA refines the winner once.
-    let inner = SchedulerOptions {
-        ga: None,
-        ..opts.clone()
-    };
     let WaveResult {
-        mut best,
+        best,
         stats,
         outcome,
         failures,
@@ -760,55 +665,12 @@ pub(crate) fn explore_impl(
         opts.prune,
         opts.sequential,
         &ctx,
-        |it| match serving {
-            // Serving runs rank on a different axis than iteration
-            // seconds, so the clean training bound is meaningless for
-            // them; the model brings its own sound bound. The training
-            // geometry gate still applies — a plan that cannot be laid
-            // out cannot be scheduled, let alone served.
-            Some(model) => {
-                config_geometry(wafer, job, &it.plan)?;
-                model.bound(wafer, job, &it.plan, &cache)
-            }
-            None => config_lower_bound(wafer, job, it, opts, &cache),
-        },
-        |it| {
-            let cfg = schedule_plan_cached(wafer, job, &it.plan, &inner, None, &cache)?;
-            let score = score_of(&cfg);
-            // A non-finite score cannot rank (deadline-interrupted
-            // ensemble, or every sample infeasible): treat the candidate
-            // as unscoreable rather than letting INFINITY win a search
-            // with no finite competitor.
-            if !score.is_finite() {
-                return None;
-            }
-            Some((cfg, score))
-        },
+        |it| bound(it, &cache),
+        |it| eval(it, &cache),
         |(_, score)| *score,
     );
-
-    // GA refinement of the winner, kept only when it wins on the same
-    // score the search ranked by. A truncated leg skips it: refinement
-    // is unbudgeted work, and anytime semantics promise best-so-far.
-    if opts.ga.is_some() && outcome == Outcome::Complete {
-        if let Some((b, bscore)) = best.take() {
-            best = Some(
-                match schedule_plan_cached(wafer, job, &b.plan, opts, None, &cache) {
-                    Some(refined) => {
-                        let rscore = score_of(&refined);
-                        if rscore <= bscore {
-                            (refined, rscore)
-                        } else {
-                            (b, bscore)
-                        }
-                    }
-                    None => (b, bscore),
-                },
-            );
-        }
-    }
-    SearchOutcome {
-        best: best.map(|(cfg, _)| cfg),
+    LegOutcome {
+        best,
         stats,
         outcome,
         failures,
@@ -816,22 +678,186 @@ pub(crate) fn explore_impl(
     }
 }
 
-/// Re-evaluate a scheduled configuration under faults (Fig. 22) or with a
-/// different robustness policy.
-pub fn evaluate_scheduled(
+/// Analytic lower bound (seconds) on the iteration time any feasible
+/// single-wafer schedule of a plan can achieve: the shared
+/// [`evaluator::pipeline_floor`] of its cached stage profiles, priced
+/// with the collective the full scheduler will pick, plus the DP
+/// gradient all-reduce and the optimizer DRAM stream, which the
+/// evaluator adds verbatim. The search evaluates fault-free at healthy
+/// bandwidth, so the bound never exceeds the true evaluation. `None` =
+/// statically infeasible (geometry or no supported collective).
+fn config_lower_bound(
     wafer: &WaferConfig,
     job: &TrainingJob,
-    cfg: &ScheduledConfig,
-    faults: Option<&FaultMap>,
-    robust: bool,
-) -> PerfReport {
-    let cache = ProfileCache::new();
-    evaluate_scheduled_cached(wafer, job, cfg, faults, robust, &cache)
+    plan: &ParallelPlan,
+    opts: &SchedulerOptions,
+    cache: &ProfileCache,
+) -> Option<f64> {
+    let geo = plan_geometry(wafer, 1, job, plan)?;
+    let stages = cache.stage_profiles(wafer, job, plan, geo.n_mb);
+    let collective = choose_collective(opts, wafer, geo.shape, &stages[..], cache)?;
+    let dp = geo.parallel.dp;
+    let bound = evaluator::pipeline_floor(
+        cache,
+        collective,
+        geo.shape,
+        None,
+        &stages[..],
+        geo.n_mb,
+        wafer,
+    ) + evaluator::dp_allreduce_time(
+        Some(cache),
+        collective,
+        wafer,
+        job,
+        plan.tp,
+        plan.pp,
+        dp,
+        dp.div_ceil(wafer.nx).max(1),
+    )
+    .as_secs()
+        + evaluator::optimizer_stream_time(&stages[..], wafer).as_secs();
+    Some(bound)
 }
 
-/// [`evaluate_scheduled`] with a shared [`ProfileCache`], so sweeps that
-/// re-evaluate the same configuration many times (fault rates, robust vs
-/// baseline policies) build its stage profiles exactly once.
+/// The single-wafer leg of [`search_leg`] (driven by
+/// [`crate::Explorer`]): the intra-wafer [`ParallelPlan`] space
+/// (`TP × PP × strategy`, all stages on this wafer), minus the points
+/// that strand more than half the wafer.
+///
+/// With `fault_aware` set, candidates are ranked by
+/// [`crate::goodput::ensemble_effective_secs`] — the checkpoint-aware
+/// effective iteration time over the spec's Monte-Carlo wafer
+/// population — instead of the clean iteration time. The analytic bound
+/// stays the *clean* lower bound, which remains sound because every
+/// fault/checkpoint transformation only ever adds time
+/// (`crate::goodput` module docs); the `search_equivalence` proptests
+/// pin pruned ≡ exhaustive with the fault axes on.
+///
+/// With `serving` set, candidates are instead ranked by the
+/// [`ServingModel`]'s score (e.g. negated goodput-under-SLO from the
+/// `wsc-serve` continuous-batching simulator) and bounded by its
+/// analytic serving bound — the trait carries its own soundness
+/// obligation (`crate::serving` module docs), and `tests/serving.rs`
+/// pins pruned ≡ exhaustive for that leg. The two ranking overrides
+/// are mutually exclusive; [`crate::ExplorerBuilder::build`] rejects
+/// the combination.
+///
+/// The wave loop runs without the GA; with `opts.ga` set, the GA
+/// refines the winner of a complete leg once.
+pub(crate) fn explore_impl(
+    wafer: &WaferConfig,
+    job: &TrainingJob,
+    opts: &SchedulerOptions,
+    fault_aware: Option<&FaultAwareSpec>,
+    serving: Option<&dyn ServingModel>,
+    ctx: &SessionCtx<'_>,
+) -> LegOutcome<ScheduledConfig> {
+    let dies = wafer.die_count();
+    // The score the incumbent competes on: clean iteration seconds, or —
+    // fault-aware — the ensemble-aggregated effective seconds. Computed
+    // once per evaluated candidate and carried alongside it, so the wave
+    // loop's repeated incumbent reads never re-run the ensemble. The
+    // ensemble loop honors the session deadline: a candidate the budget
+    // interrupts mid-ensemble scores INFINITY and is dropped.
+    let score_of = |cfg: &ScheduledConfig, cache: &ProfileCache| {
+        if let Some(model) = serving {
+            return model.score(wafer, job, cfg, cache);
+        }
+        match fault_aware {
+            Some(fa) => ensemble_effective_secs_within(
+                wafer,
+                job,
+                cfg,
+                &fa.ensemble,
+                fa.objective,
+                cache,
+                ctx.deadline,
+            ),
+            None => cfg.report.iteration.as_secs(),
+        }
+    };
+    let inner = SchedulerOptions {
+        ga: None,
+        ..opts.clone()
+    };
+    let work_list = || {
+        let mut items = Vec::new();
+        for tp in tp_candidates(wafer, opts) {
+            for pp in 1..=(dies / tp).min(job.model.layers) {
+                // Skip configurations that strand more than half the wafer.
+                let Some((tw, th)) = placement::choose_tile(wafer.nx, wafer.ny, tp, pp) else {
+                    continue;
+                };
+                let slots = (wafer.nx / tw) * (wafer.ny / th);
+                if tp * pp * ((slots / pp).max(1)).min(job.global_batch / job.micro_batch)
+                    < dies / 2
+                {
+                    continue;
+                }
+                for (sidx, &strategy) in opts.strategies.iter().enumerate() {
+                    items.push(WorkItem {
+                        plan: ParallelPlan::intra(tp, pp, strategy),
+                        sidx,
+                        pidx: 0,
+                    });
+                }
+            }
+        }
+        items
+    };
+    let mut leg = search_leg(
+        wafer,
+        dies,
+        job,
+        opts,
+        ctx,
+        work_list,
+        |it, cache| match serving {
+            // Serving runs rank on a different axis than iteration
+            // seconds, so the clean training bound is meaningless for
+            // them; the model brings its own sound bound. The training
+            // geometry gate still applies — a plan that cannot be laid
+            // out cannot be scheduled, let alone served.
+            Some(model) => {
+                plan_geometry(wafer, 1, job, &it.plan)?;
+                model.bound(wafer, job, &it.plan, cache)
+            }
+            None => config_lower_bound(wafer, job, &it.plan, opts, cache),
+        },
+        |it, cache| {
+            let cfg = schedule_plan_cached(wafer, job, &it.plan, &inner, None, cache)?;
+            let score = score_of(&cfg, cache);
+            // A non-finite score cannot rank (deadline-interrupted
+            // ensemble, or every sample infeasible): treat the candidate
+            // as unscoreable rather than letting INFINITY win a search
+            // with no finite competitor.
+            score.is_finite().then_some((cfg, score))
+        },
+    );
+
+    // GA refinement of the winner, kept only when it wins on the same
+    // score the search ranked by. A truncated leg skips it: refinement
+    // is unbudgeted work, and anytime semantics promise best-so-far.
+    if opts.ga.is_some() && leg.outcome == Outcome::Complete {
+        if let Some((b, bscore)) = leg.best.take() {
+            let refined = schedule_plan_cached(wafer, job, &b.plan, opts, None, &leg.cache)
+                .map(|r| {
+                    let rscore = score_of(&r, &leg.cache);
+                    (r, rscore)
+                })
+                .filter(|(_, rscore)| *rscore <= bscore);
+            leg.best = Some(refined.unwrap_or((b, bscore)));
+        }
+    }
+    leg
+}
+
+/// Re-evaluate a scheduled configuration under faults (Fig. 22) or with
+/// a different robustness policy. Stage profiles come from `cache`, so
+/// sweeps that re-evaluate the same configuration many times (fault
+/// rates, robust vs baseline policies) build them exactly once; a
+/// one-off call passes `&ProfileCache::new()`.
 pub fn evaluate_scheduled_cached(
     wafer: &WaferConfig,
     job: &TrainingJob,
@@ -876,16 +902,108 @@ mod tests {
         }
     }
 
+    fn search(
+        wafer: &WaferConfig,
+        job: &TrainingJob,
+        opts: &SchedulerOptions,
+        fault_aware: Option<&FaultAwareSpec>,
+    ) -> LegOutcome<ScheduledConfig> {
+        explore_impl(wafer, job, opts, fault_aware, None, &SessionCtx::none())
+    }
+
+    /// The single-wafer plan geometry as the Alg. 1 leg derived it
+    /// before both legs shared [`plan_geometry`], kept verbatim as the
+    /// oracle of `one_wafer_geometry_matches_the_single_wafer_rules`.
+    fn single_wafer_geometry_oracle(
+        wafer: &WaferConfig,
+        job: &TrainingJob,
+        plan: &ParallelPlan,
+    ) -> Option<(GroupShape, ParallelSpec, usize, ShardingCtx)> {
+        let (tp, pp) = (plan.tp, plan.pp);
+        if plan.validate().is_err() || pp > job.model.layers {
+            return None;
+        }
+        if plan.tp_span != 1 || plan.stage_map.wafer_count() != 1 {
+            return None;
+        }
+        if memory_precheck_fails(wafer, job, tp, pp) {
+            return None;
+        }
+        let (tile_w, tile_h) = placement::choose_tile(wafer.nx, wafer.ny, tp, pp)?;
+        let slots = (wafer.nx / tile_w) * (wafer.ny / tile_h);
+        let dp_max = (job.global_batch / job.micro_batch).max(1);
+        let mut dp = (slots / pp).clamp(1, dp_max);
+        if plan.dp > 0 {
+            dp = dp.min(plan.dp);
+        }
+        Some((
+            GroupShape::new(tile_w, tile_h),
+            ParallelSpec::new(dp, tp, pp),
+            job.microbatches(dp),
+            plan.sharding_ctx(job),
+        ))
+    }
+
+    #[test]
+    fn one_wafer_geometry_matches_the_single_wafer_rules() {
+        // At one wafer the shared geometry must accept and reject exactly
+        // the plans the single-wafer rules did, with the same tile, dp and
+        // micro-batch count: plan validation vs `StageMap::validate(pp,
+        // 1)`, the `tp_span` rejection, `choose_tile`, the slot check and
+        // the dp clamp all agree there.
+        use wsc_workload::parallel::StageMap;
+        let job = TrainingJob::standard(zoo::llama2_30b());
+        let mut accepted = 0usize;
+        let mut checked = 0usize;
+        for idx in 1..=4 {
+            let wafer = presets::config(idx);
+            for tp in 0..=16usize {
+                for pp in [0usize, 1, 2, 3, 4, 5, 7, 8, 12, 14, 16, 28, 56, 60, 61] {
+                    let maps = [
+                        StageMap::SingleWafer,
+                        StageMap::Balanced { wafers: 0 },
+                        StageMap::Balanced { wafers: 1 },
+                        StageMap::Balanced { wafers: 2 },
+                        StageMap::Explicit(vec![0; pp]),
+                        StageMap::Explicit(vec![0; pp.saturating_sub(1)]),
+                        StageMap::Explicit((0..pp).map(|s| usize::from(2 * s >= pp)).collect()),
+                    ];
+                    for map in maps {
+                        for span in 0..=2usize {
+                            for dp in [0usize, 3] {
+                                let plan = ParallelPlan::intra(tp, pp, TpSplitStrategy::Megatron)
+                                    .with_stage_map(map.clone())
+                                    .with_tp_span(span)
+                                    .with_dp(dp);
+                                let shared = plan_geometry(&wafer, 1, &job, &plan)
+                                    .map(|g| (g.shape, g.parallel, g.n_mb, g.ctx));
+                                let oracle = single_wafer_geometry_oracle(&wafer, &job, &plan);
+                                assert_eq!(shared, oracle, "{plan} on {}", wafer.name);
+                                checked += 1;
+                                accepted += usize::from(oracle.is_some());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            accepted > 100,
+            "only {accepted} of {checked} plans accepted"
+        );
+    }
+
     #[test]
     fn schedule_fixed_produces_feasible_config() {
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama2_30b());
-        let cfg = schedule_plan(
+        let cfg = schedule_plan_cached(
             &wafer,
             &job,
             &ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron),
             &quick_opts(),
             None,
+            &ProfileCache::new(),
         )
         .expect("schedulable");
         assert!(cfg.report.feasible);
@@ -900,11 +1018,7 @@ mod tests {
         // 3.92 TB wafer: every candidate must be pruned.
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::deepseek_v3());
-        assert!(
-            explore_impl(&wafer, &job, &quick_opts(), None, None, &SessionCtx::none())
-                .best
-                .is_none()
-        );
+        assert!(search(&wafer, &job, &quick_opts(), None).best.is_none());
     }
 
     #[test]
@@ -912,7 +1026,7 @@ mod tests {
         // Fig. 5a / §V-C: the optimum uses a small TP (not 8/16).
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama2_30b());
-        let best = explore_impl(&wafer, &job, &quick_opts(), None, None, &SessionCtx::none())
+        let (best, _) = search(&wafer, &job, &quick_opts(), None)
             .best
             .expect("feasible");
         assert!(
@@ -930,8 +1044,8 @@ mod tests {
         // changes the instrumentation counters.
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama2_30b());
-        let pruned = explore_impl(&wafer, &job, &quick_opts(), None, None, &SessionCtx::none());
-        let pruned_seq = explore_impl(
+        let pruned = search(&wafer, &job, &quick_opts(), None);
+        let pruned_seq = search(
             &wafer,
             &job,
             &SchedulerOptions {
@@ -939,10 +1053,8 @@ mod tests {
                 ..quick_opts()
             },
             None,
-            None,
-            &SessionCtx::none(),
         );
-        let exhaustive = explore_impl(
+        let exhaustive = search(
             &wafer,
             &job,
             &SchedulerOptions {
@@ -951,8 +1063,6 @@ mod tests {
                 ..quick_opts()
             },
             None,
-            None,
-            &SessionCtx::none(),
         );
         assert_eq!(pruned.best, pruned_seq.best);
         assert_eq!(pruned.stats, pruned_seq.stats);
@@ -975,15 +1085,8 @@ mod tests {
             ensemble: FaultEnsemble::clustered(0.2, 3, 11),
             objective: RobustObjective::Mean,
         };
-        let pruned = explore_impl(
-            &wafer,
-            &job,
-            &quick_opts(),
-            Some(&fa),
-            None,
-            &SessionCtx::none(),
-        );
-        let exhaustive = explore_impl(
+        let pruned = search(&wafer, &job, &quick_opts(), Some(&fa));
+        let exhaustive = search(
             &wafer,
             &job,
             &SchedulerOptions {
@@ -992,17 +1095,16 @@ mod tests {
                 ..quick_opts()
             },
             Some(&fa),
-            None,
-            &SessionCtx::none(),
         );
         assert_eq!(pruned.best, exhaustive.best);
         assert_eq!(pruned.stats.visited, exhaustive.stats.visited);
         assert!(pruned.stats.pruned > 0, "{:?}", pruned.stats);
-        let best = pruned.best.expect("feasible");
+        let (best, score) = pruned.best.expect("feasible");
         // The ensemble score the winner was ranked by dominates its
         // clean iteration time (the pruning-soundness inequality).
         let cache = ProfileCache::new();
         let s = ensemble_effective_secs(&wafer, &job, &best, &fa.ensemble, fa.objective, &cache);
+        assert_eq!(s, score, "the winner is ranked by its ensemble score");
         assert!(s >= best.report.iteration.as_secs());
     }
 
@@ -1010,7 +1112,7 @@ mod tests {
     fn search_stats_are_consistent() {
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama2_30b());
-        let out = explore_impl(&wafer, &job, &quick_opts(), None, None, &SessionCtx::none());
+        let out = search(&wafer, &job, &quick_opts(), None);
         let s = out.stats;
         assert!(s.visited > 0);
         assert_eq!(s.visited, s.pruned + s.evaluated);
@@ -1026,13 +1128,13 @@ mod tests {
         // parallel.
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama2_30b());
-        let plain = explore_impl(&wafer, &job, &quick_opts(), None, None, &SessionCtx::none());
+        let plain = search(&wafer, &job, &quick_opts(), None);
         let dup_opts = SchedulerOptions {
             strategies: vec![TpSplitStrategy::Megatron, TpSplitStrategy::Megatron],
             ..quick_opts()
         };
-        let dup_par = explore_impl(&wafer, &job, &dup_opts, None, None, &SessionCtx::none());
-        let dup_seq = explore_impl(
+        let dup_par = search(&wafer, &job, &dup_opts, None);
+        let dup_seq = search(
             &wafer,
             &job,
             &SchedulerOptions {
@@ -1040,8 +1142,6 @@ mod tests {
                 ..dup_opts
             },
             None,
-            None,
-            &SessionCtx::none(),
         );
         assert_eq!(dup_par.best, dup_seq.best);
         assert_eq!(dup_par.stats, dup_seq.stats);
@@ -1061,9 +1161,25 @@ mod tests {
         let bad_map = ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron)
             .with_stage_map(StageMap::Explicit(vec![0]));
         assert!(bad_map.validate().is_err());
-        assert!(schedule_plan(&wafer, &job, &bad_map, &quick_opts(), None).is_none());
+        assert!(schedule_plan_cached(
+            &wafer,
+            &job,
+            &bad_map,
+            &quick_opts(),
+            None,
+            &ProfileCache::new()
+        )
+        .is_none());
         let bad_span = ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron).with_tp_span(3);
-        assert!(schedule_plan(&wafer, &job, &bad_span, &quick_opts(), None).is_none());
+        assert!(schedule_plan_cached(
+            &wafer,
+            &job,
+            &bad_span,
+            &quick_opts(),
+            None,
+            &ProfileCache::new()
+        )
+        .is_none());
     }
 
     #[test]
@@ -1071,12 +1187,13 @@ mod tests {
         let wafer = presets::config(3);
         let job = TrainingJob::standard(zoo::llama2_30b());
         // 61 stages on 56 dies with TP=4: no.
-        assert!(schedule_plan(
+        assert!(schedule_plan_cached(
             &wafer,
             &job,
             &ParallelPlan::intra(4, 61, TpSplitStrategy::Megatron),
             &quick_opts(),
-            None
+            None,
+            &ProfileCache::new(),
         )
         .is_none());
     }
@@ -1090,8 +1207,8 @@ mod tests {
         let mut without = quick_opts();
         without.memory_scheduler = false;
         let plan = ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron);
-        let a = schedule_plan(&wafer, &job, &plan, &with, None);
-        let b = schedule_plan(&wafer, &job, &plan, &without, None);
+        let a = schedule_plan_cached(&wafer, &job, &plan, &with, None, &ProfileCache::new());
+        let b = schedule_plan_cached(&wafer, &job, &plan, &without, None, &ProfileCache::new());
         if let (Some(a), Some(b)) = (a, b) {
             assert!(a.report.iteration.as_secs() <= b.report.iteration.as_secs() * 1.05);
         }
@@ -1106,8 +1223,10 @@ mod tests {
         let mut naive_opts = quick_opts();
         naive_opts.recompute = RecomputeMode::Naive;
         let plan = ParallelPlan::intra(4, 14, TpSplitStrategy::Megatron);
-        let g = schedule_plan(&wafer, &job, &plan, &gcmr_opts, None).expect("gcmr feasible");
-        let n = schedule_plan(&wafer, &job, &plan, &naive_opts, None).expect("naive feasible");
+        let g = schedule_plan_cached(&wafer, &job, &plan, &gcmr_opts, None, &ProfileCache::new())
+            .expect("gcmr feasible");
+        let n = schedule_plan_cached(&wafer, &job, &plan, &naive_opts, None, &ProfileCache::new())
+            .expect("naive feasible");
         assert!(
             g.report.iteration.as_secs() <= n.report.iteration.as_secs() * 1.001,
             "gcmr {} vs naive {}",

@@ -1,14 +1,14 @@
-//! The shared bounded wave-search engine behind both design-space sweeps:
-//! the single-wafer Alg. 1 search ([`crate::scheduler::explore`] via
-//! `explore_impl`) and the §VI-F multi-wafer node search
-//! ([`crate::multiwafer`]).
+//! The bounded wave-search engine under the one search driver
+//! (`crate::scheduler`'s `search_leg`), which runs it for every leg of
+//! a session: a single wafer's Alg. 1 sweep and a §VI-F multi-wafer
+//! node's sweep ([`crate::multiwafer`]).
 //!
-//! Both searches have the same shape — flatten a `TP × PP × strategy`
-//! space into a work-list, compute an analytic lower bound per point,
-//! sort by bound, and evaluate in deterministic parallel waves, letting
-//! the incumbent best prune every remaining point whose bound it beats.
-//! This module owns that shape once, so the two searches can never drift
-//! apart on determinism or pruning semantics:
+//! Every leg has the same shape — flatten a `TP × PP × strategy` space
+//! into a work-list, compute an analytic lower bound per point, sort by
+//! bound, and evaluate in deterministic parallel waves, letting the
+//! incumbent best prune every remaining point whose bound it beats.
+//! This module owns that shape once, so no leg can drift on
+//! determinism or pruning semantics:
 //!
 //! * **Determinism.** Pruning decisions consult only the incumbent from
 //!   *completed* waves, wave boundaries are fixed (independent of the

@@ -2,8 +2,9 @@
 //! hardware template to evaluated schedule, driven through the `Explorer`
 //! facade.
 
-use watos::scheduler::{schedule_plan, RecomputeMode, SchedulerOptions};
+use watos::scheduler::{schedule_plan_cached, RecomputeMode, SchedulerOptions};
 use watos::Explorer;
+use watos::ProfileCache;
 use wsc_arch::enumerate::Enumerator;
 use wsc_arch::presets;
 use wsc_arch::AreaModel;
@@ -122,12 +123,13 @@ fn recompute_ladder_is_consistent() {
             recompute: mode,
             ..quick_opts()
         };
-        schedule_plan(
+        schedule_plan_cached(
             &wafer,
             &job,
             &ParallelPlan::intra(4, 14, TpSplitStrategy::SequenceParallel),
             &opts,
             None,
+            &ProfileCache::new(),
         )
         .map(|c| c.report.iteration.as_secs())
     };

@@ -6,8 +6,8 @@
 //! balanced intra-wafer-TP plan.
 
 use watos::{
-    evaluate_multi_wafer_plan, ExplorationReport, Explorer, ParallelPlan, PlanError, PlanFilter,
-    StageMap, TpSplitStrategy,
+    evaluate_multi_wafer_plan_cached, ExplorationReport, Explorer, ParallelPlan, PlanError,
+    PlanFilter, ProfileCache, StageMap, TpSplitStrategy,
 };
 use wsc_arch::presets;
 use wsc_arch::units::Bandwidth;
@@ -207,7 +207,9 @@ fn probe_strict_win_candidates() {
                     for shift in 0..4usize {
                         let p = ParallelPlan::intra(bp.tp, pp, bp.strategy)
                             .with_stage_map(StageMap::remainder_shifted(pp, 4, shift));
-                        if let Some(r) = evaluate_multi_wafer_plan(&node, &job, &p) {
+                        if let Some(r) =
+                            evaluate_multi_wafer_plan_cached(&node, &job, &p, &ProfileCache::new())
+                        {
                             if r.iteration.as_secs() < b.iteration.as_secs() {
                                 println!("  strict: {} -> {}", r.plan, r.iteration);
                             }

@@ -9,9 +9,12 @@
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Once};
-use watos::{Explorer, ExplorerBuilder, Injection, MemorySink, SearchBudget, SearchCheckpoint};
+use watos::{
+    ExplorationError, Explorer, ExplorerBuilder, Injection, MemorySink, SearchBudget,
+    SearchCheckpoint,
+};
 use wsc_arch::presets;
-use wsc_arch::wafer::WaferConfig;
+use wsc_arch::wafer::{MultiWaferConfig, WaferConfig};
 use wsc_workload::training::TrainingJob;
 use wsc_workload::zoo;
 
@@ -122,32 +125,60 @@ proptest! {
     }
 }
 
+/// A two-wafer node of shrunken wafers.
+fn small_node(cfg_idx: usize) -> MultiWaferConfig {
+    MultiWaferConfig {
+        wafers: 2,
+        wafer: small_wafer(cfg_idx),
+        ..presets::multi_wafer_18()
+    }
+}
+
+/// The kill/resume session: two shrunken wafers and a shrunken two-wafer
+/// node, so checkpoints land on both sides of the session.
+fn session(cfg_a: usize, cfg_b: usize, job: &TrainingJob, seed: u64) -> ExplorerBuilder {
+    base(&small_wafer(cfg_a), job, seed)
+        .wafer(small_wafer(cfg_b))
+        .multi_wafer(small_node(cfg_b))
+}
+
+/// Whether every leg a checkpoint records as completed ran to the end.
+/// A truncated completed leg is reused verbatim on resume by design —
+/// resuming it resumes the *decision* to truncate — so only checkpoints
+/// without one must reproduce the uninterrupted run.
+fn completed_legs_are_complete(cp: &SearchCheckpoint) -> bool {
+    cp.completed_single
+        .iter()
+        .all(|r| !r.outcome.is_truncated())
+        && cp.completed_multi.iter().all(|r| !r.outcome.is_truncated())
+}
+
 proptest! {
     #[test]
     fn killing_at_any_checkpoint_then_resuming_matches_the_uninterrupted_run(
         cfg_idx in 1usize..5,
+        cfg_other in 1usize..5,
         layers in 4usize..10,
         cap in 1usize..40,
         pick in 0usize..64,
         seed in 0u64..1_000_000,
     ) {
-        let wafer = small_wafer(cfg_idx);
         let job = small_job(layers);
 
         // The uninterrupted reference run.
-        let full = base(&wafer, &job, seed).build().expect("valid session").run();
+        let full = session(cfg_idx, cfg_other, &job, seed).build().expect("valid session").run();
 
         // The "killed" run: an evaluation cap plays the part of the
         // kill, with a checkpoint written at every wave so the kill
-        // point lands at an arbitrary depth of the search.
+        // point lands at an arbitrary depth of any leg.
         let sink = Arc::new(MemorySink::new());
-        let killed = base(&wafer, &job, seed)
+        let killed = session(cfg_idx, cfg_other, &job, seed)
             .budget(SearchBudget::none().max_evaluations(cap))
             .checkpoint_every(1, sink.clone())
             .build()
             .expect("valid session")
             .run();
-        let k = killed.search_stats();
+        let k = killed.search_stats().merge(killed.multi_wafer_search_stats());
         prop_assert_eq!(k.visited, k.pruned + k.evaluated + k.skipped);
         if killed.truncated() {
             prop_assert!(k.evaluated >= cap, "truncation fired before the cap");
@@ -156,19 +187,17 @@ proptest! {
             prop_assert_eq!(killed.to_json(), full.to_json());
         }
 
-        // Resume a budget-free twin from an arbitrary mid-leg snapshot:
-        // the session must converge to the uninterrupted winner
-        // bit-for-bit. (Leg-boundary snapshots of a truncated leg carry
-        // the truncated record verbatim by design — resuming those
-        // resumes the *decision* to truncate, so they are not
-        // equivalence candidates.)
-        let frontiers: Vec<SearchCheckpoint> = sink
+        // Resume a budget-free twin from an arbitrary snapshot — a
+        // mid-leg wave frontier on either side, or a leg boundary — whose
+        // completed legs all ran to the end: the session must converge
+        // to the uninterrupted run bit-for-bit.
+        let resumable: Vec<SearchCheckpoint> = sink
             .all()
             .into_iter()
-            .filter(|cp| cp.frontier.is_some())
+            .filter(completed_legs_are_complete)
             .collect();
-        if !frontiers.is_empty() {
-            let cp = &frontiers[pick % frontiers.len()];
+        if !resumable.is_empty() {
+            let cp = &resumable[pick % resumable.len()];
             // The snapshot itself must round-trip through JSON — it is
             // the unit of session persistence.
             let text = serde::json::to_text(&cp.to_value());
@@ -178,13 +207,103 @@ proptest! {
             .expect("checkpoint deserializes");
             prop_assert_eq!(&back, cp);
 
-            let resumed = base(&wafer, &job, seed)
+            let resumed = session(cfg_idx, cfg_other, &job, seed)
                 .build()
                 .expect("valid session")
-                .resume(&back);
+                .resume(&back)
+                .expect("the checkpoint belongs to this session");
             prop_assert_eq!(resumed.to_json(), full.to_json());
         }
     }
+}
+
+/// The kill/resume property must reach both sides of the session: the
+/// uncapped checkpointed run emits a multi-wafer wave frontier, and
+/// resuming from it, or from the final leg boundary (which reuses every
+/// completed leg, `completed_multi` included), reproduces the run.
+#[test]
+fn resuming_reaches_the_multi_wafer_side() {
+    let job = small_job(6);
+    let full = session(2, 3, &job, 11)
+        .build()
+        .expect("valid session")
+        .run();
+    assert!(
+        full.multi_wafer[0].stats.evaluated > 0,
+        "the node leg evaluated nothing"
+    );
+    let sink = Arc::new(MemorySink::new());
+    let run = session(2, 3, &job, 11)
+        .checkpoint_every(1, sink.clone())
+        .build()
+        .expect("valid session");
+    assert_eq!(run.run().to_json(), full.to_json());
+    let all = sink.all();
+    let multi_frontier = all
+        .iter()
+        .find(|cp| cp.frontier.as_ref().is_some_and(|f| f.multi))
+        .expect("a wave checkpoint inside the node leg");
+    let last = all.last().expect("leg-boundary snapshots");
+    assert_eq!(last.completed_multi.len(), 1);
+    assert!(last.frontier.is_none());
+    for cp in [multi_frontier, last] {
+        let resumed = run
+            .resume(cp)
+            .expect("the checkpoint belongs to this session");
+        assert_eq!(resumed.to_json(), full.to_json());
+    }
+}
+
+/// A checkpoint from another session is refused with a typed error
+/// instead of being spliced into this session's report.
+#[test]
+fn resume_rejects_a_checkpoint_from_another_session() {
+    let job = small_job(6);
+    let sink = Arc::new(MemorySink::new());
+    session(2, 3, &job, 11)
+        .checkpoint_every(1, sink.clone())
+        .build()
+        .expect("valid session")
+        .run();
+    let last = sink.last().expect("leg-boundary snapshot");
+
+    let other_seed = session(2, 3, &job, 12).build().expect("valid session");
+    assert_eq!(
+        other_seed.resume(&last),
+        Err(ExplorationError::CheckpointSeedMismatch {
+            checkpoint: 11,
+            session: 12,
+        })
+    );
+    let other_wafers = session(3, 2, &job, 11).build().expect("valid session");
+    assert_eq!(
+        other_wafers.resume(&last),
+        Err(ExplorationError::CheckpointLegMismatch {
+            side: "single-wafer".into(),
+            index: 0,
+        })
+    );
+    let mut other_node = last.clone();
+    other_node.completed_multi[0].node.wafers = 3;
+    let same = session(2, 3, &job, 11).build().expect("valid session");
+    assert_eq!(
+        same.resume(&other_node),
+        Err(ExplorationError::CheckpointLegMismatch {
+            side: "multi-wafer".into(),
+            index: 0,
+        })
+    );
+    // A session with fewer candidates than the checkpoint completed.
+    let fewer = base(&small_wafer(2), &job, 11)
+        .build()
+        .expect("valid session");
+    assert_eq!(
+        fewer.resume(&last),
+        Err(ExplorationError::CheckpointLegMismatch {
+            side: "single-wafer".into(),
+            index: 1,
+        })
+    );
 }
 
 /// Guard against a vacuous fixture: the shrunken-wafer sessions the
