@@ -172,7 +172,6 @@ fn main() {
                 &s.overflow,
                 &s.spare,
                 s.pp_volume,
-                s.capacity,
                 &preset.params,
             )
         });

@@ -42,7 +42,10 @@
 //! assumed.
 
 use std::time::Instant;
-use watos::{ExplorationReport, Explorer, Injection, ParallelPlan, SearchBudget, SearchStats};
+use watos::{
+    ExplorationReport, Explorer, ExplorerBuilder, Injection, ParallelPlan, SearchBudget,
+    SearchStats,
+};
 use wsc_bench::util::{
     multi_wafer_search_presets, search_presets, MultiWaferSearchPreset, SearchPreset,
 };
@@ -114,44 +117,34 @@ fn presets_for(which: &str) -> (Vec<SearchPreset>, Vec<MultiWaferSearchPreset>) 
     (single, multi)
 }
 
-fn run_once(
-    preset: &SearchPreset,
-    job: &TrainingJob,
-    exhaustive: bool,
-) -> (ExplorationReport, f64) {
-    let mut b = Explorer::builder()
-        .job(job.clone())
+/// The GA-free search session of a single-wafer preset.
+fn single_session(preset: &SearchPreset) -> ExplorerBuilder {
+    Explorer::builder()
+        .job(TrainingJob::standard(preset.model.clone()))
         .wafer(preset.wafer.clone())
         .strategies(preset.strategies.clone())
-        .no_ga();
-    if exhaustive {
-        b = b.sequential().no_prune();
-    }
-    let explorer = b.build().expect("valid benchmark configuration");
-    let t0 = Instant::now();
-    let report = explorer.run();
-    (report, t0.elapsed().as_secs_f64())
+        .no_ga()
 }
 
-fn run_once_multi(
-    preset: &MultiWaferSearchPreset,
-    job: &TrainingJob,
-    exhaustive: bool,
-    node_placement: bool,
-) -> (ExplorationReport, f64) {
-    let mut b = Explorer::builder()
-        .job(job.clone())
+/// The GA-free search session of a multi-wafer preset, with the
+/// node-level Alg. 3 pass when `placed`.
+fn multi_session(preset: &MultiWaferSearchPreset, placed: bool) -> ExplorerBuilder {
+    let b = Explorer::builder()
+        .job(TrainingJob::standard(preset.model.clone()))
         .multi_wafer(preset.node.clone())
         .strategies(preset.strategies.clone())
         .plans(preset.plans)
         .no_ga();
-    if node_placement {
-        b = b.node_placement();
+    if placed {
+        b.node_placement()
+    } else {
+        b
     }
-    if exhaustive {
-        b = b.sequential().no_prune();
-    }
-    let explorer = b.build().expect("valid benchmark configuration");
+}
+
+/// Build `session` and time one run of it.
+fn timed_run(session: ExplorerBuilder) -> (ExplorationReport, f64) {
+    let explorer = session.build().expect("valid benchmark configuration");
     let t0 = Instant::now();
     let report = explorer.run();
     (report, t0.elapsed().as_secs_f64())
@@ -372,9 +365,9 @@ fn run_sweep(
     let mut failed = false;
     let (single, multi) = presets_for(preset_arg);
     for preset in single {
-        let job = TrainingJob::standard(preset.model.clone());
-        let (pruned_report, pruned_secs) = run_once(&preset, &job, false);
-        let (exhaustive_report, exhaustive_secs) = run_once(&preset, &job, true);
+        let (pruned_report, pruned_secs) = timed_run(single_session(&preset));
+        let (exhaustive_report, exhaustive_secs) =
+            timed_run(single_session(&preset).sequential().no_prune());
         failed |= record(
             Measured {
                 preset: preset.name.to_string(),
@@ -392,10 +385,10 @@ fn run_sweep(
         );
     }
     for preset in multi {
-        let job = TrainingJob::standard(preset.model.clone());
         let placed = preset.node_placement && !no_node_placement;
-        let (pruned_report, pruned_secs) = run_once_multi(&preset, &job, false, placed);
-        let (exhaustive_report, exhaustive_secs) = run_once_multi(&preset, &job, true, placed);
+        let (pruned_report, pruned_secs) = timed_run(multi_session(&preset, placed));
+        let (exhaustive_report, exhaustive_secs) =
+            timed_run(multi_session(&preset, placed).sequential().no_prune());
         failed |= record(
             Measured {
                 preset: preset.name.to_string(),
@@ -484,37 +477,14 @@ fn run_budgeted(preset_arg: &str, secs: f64, no_node_placement: bool, output: &s
     let mut failed = false;
     let mut rows = Vec::new();
     let (single, multi) = presets_for(preset_arg);
+    let budget = SearchBudget::none().deadline(secs);
     for preset in single {
-        let job = TrainingJob::standard(preset.model.clone());
-        let explorer = Explorer::builder()
-            .job(job)
-            .wafer(preset.wafer.clone())
-            .strategies(preset.strategies.clone())
-            .no_ga()
-            .budget(SearchBudget::none().deadline(secs))
-            .build()
-            .expect("valid benchmark configuration");
-        let t0 = Instant::now();
-        let report = explorer.run();
-        let elapsed = t0.elapsed().as_secs_f64();
+        let (report, elapsed) = timed_run(single_session(&preset).budget(budget));
         failed |= check_anytime(preset.name, false, &report, secs, elapsed, &mut rows);
     }
     for preset in multi {
-        let job = TrainingJob::standard(preset.model.clone());
-        let mut b = Explorer::builder()
-            .job(job)
-            .multi_wafer(preset.node.clone())
-            .strategies(preset.strategies.clone())
-            .plans(preset.plans)
-            .no_ga()
-            .budget(SearchBudget::none().deadline(secs));
-        if preset.node_placement && !no_node_placement {
-            b = b.node_placement();
-        }
-        let explorer = b.build().expect("valid benchmark configuration");
-        let t0 = Instant::now();
-        let report = explorer.run();
-        let elapsed = t0.elapsed().as_secs_f64();
+        let placed = preset.node_placement && !no_node_placement;
+        let (report, elapsed) = timed_run(multi_session(&preset, placed).budget(budget));
         failed |= check_anytime(preset.name, true, &report, secs, elapsed, &mut rows);
     }
     write_anytime(output, "anytime search under a wall-clock budget", rows);
@@ -556,18 +526,7 @@ fn run_inject_smoke(output: &str) -> bool {
         .delays(0.10, 200)
         .corruption(0.25);
     for preset in search_presets().iter().filter(|p| p.name == "small") {
-        let job = TrainingJob::standard(preset.model.clone());
-        let explorer = Explorer::builder()
-            .job(job)
-            .wafer(preset.wafer.clone())
-            .strategies(preset.strategies.clone())
-            .no_ga()
-            .inject(storm)
-            .build()
-            .expect("valid benchmark configuration");
-        let t0 = Instant::now();
-        let report = explorer.run();
-        let elapsed = t0.elapsed().as_secs_f64();
+        let (report, elapsed) = timed_run(single_session(preset).inject(storm));
         let incidents = report.incidents().len();
         if let Some(best) = report.best().ok().and_then(|r| r.best.as_ref()) {
             if report.incidents().iter().any(|f| f.plan == best.plan) {
@@ -580,19 +539,8 @@ fn run_inject_smoke(output: &str) -> bool {
     }
 
     for preset in multi_wafer_search_presets().iter().take(1) {
-        let job = TrainingJob::standard(preset.model.clone());
-        let explorer = Explorer::builder()
-            .job(job)
-            .multi_wafer(preset.node.clone())
-            .strategies(preset.strategies.clone())
-            .plans(preset.plans)
-            .no_ga()
-            .budget(SearchBudget::none().deadline(0.1))
-            .build()
-            .expect("valid benchmark configuration");
-        let t0 = Instant::now();
-        let report = explorer.run();
-        let elapsed = t0.elapsed().as_secs_f64();
+        let budget = SearchBudget::none().deadline(0.1);
+        let (report, elapsed) = timed_run(multi_session(preset, false).budget(budget));
         failed |= check_anytime(preset.name, true, &report, 0.1, elapsed, &mut rows);
     }
 

@@ -14,12 +14,12 @@
 //! component is seeded per candidate).
 
 use crate::cache::{CacheStats, ProfileCache};
-use crate::goodput::{ensemble_effective_secs, FaultAwareSpec, FaultEnsemble, RobustObjective};
+use crate::goodput::{FaultAwareSpec, FaultEnsemble, RobustObjective};
 use crate::inject::Injection;
 use crate::multiwafer::{explore_multi_wafer_impl, wafer_loss_sweep_impl, MultiWaferReport};
 use crate::robust::{fault_sweep_impl, FaultKind, FaultPoint};
 use crate::scheduler::{
-    explore_impl, LegOutcome, PlanFilter, RecomputeMode, ScheduledConfig, SchedulerOptions,
+    explore_impl, PlanFilter, RecomputeMode, ScheduledConfig, SchedulerOptions, SearchObjective,
     SearchStats,
 };
 use crate::serving::ServingModel;
@@ -471,7 +471,6 @@ pub struct ExplorerBuilder {
     inject: Option<Injection>,
     checkpoint_every: Option<usize>,
     sink: Option<Arc<dyn CheckpointSink>>,
-    sequential: bool,
     skip_validation: bool,
 }
 
@@ -523,21 +522,6 @@ impl ExplorerBuilder {
     /// adds candidates, so enabling one can never lose a winner.
     pub fn plans(mut self, filter: PlanFilter) -> Self {
         self.opts_mut().plans = filter;
-        self
-    }
-
-    /// Enable cross-wafer-TP plans on multi-wafer nodes (TP collectives
-    /// crossing the W2W seam; see [`PlanFilter::cross_wafer_tp`]).
-    pub fn cross_wafer_tp(mut self) -> Self {
-        self.opts_mut().plans.cross_wafer_tp = true;
-        self
-    }
-
-    /// Enable uneven stage→wafer maps on multi-wafer nodes (every PP
-    /// plus the remainder-shift family of explicit maps; see
-    /// [`PlanFilter::uneven_stage_maps`]).
-    pub fn uneven_stage_maps(mut self) -> Self {
-        self.opts_mut().plans.uneven_stage_maps = true;
         self
     }
 
@@ -675,7 +659,6 @@ impl ExplorerBuilder {
     /// this knob exists for debugging, benchmarking and the determinism
     /// tests.
     pub fn sequential(mut self) -> Self {
-        self.sequential = true;
         self.opts_mut().sequential = true;
         self
     }
@@ -732,21 +715,24 @@ impl ExplorerBuilder {
                 punish: options.punish,
             });
         }
-        if self.fault_aware.is_some() && self.serving.is_some() {
-            return Err(ExplorationError::ConflictingObjectives);
-        }
-        if let Some(fa) = &self.fault_aware {
-            if !(0.0..=1.0).contains(&fa.ensemble.rate) {
-                return Err(ExplorationError::InvalidFaultRate {
-                    rate: fa.ensemble.rate,
-                });
+        let objective = match (self.fault_aware, self.serving) {
+            (Some(_), Some(_)) => return Err(ExplorationError::ConflictingObjectives),
+            (Some(fa), None) => {
+                if !(0.0..=1.0).contains(&fa.ensemble.rate) {
+                    return Err(ExplorationError::InvalidFaultRate {
+                        rate: fa.ensemble.rate,
+                    });
+                }
+                if fa.ensemble.samples == 0 {
+                    return Err(ExplorationError::EmptyOptionList {
+                        list: "fault ensemble samples".into(),
+                    });
+                }
+                SearchObjective::FaultAware(fa)
             }
-            if fa.ensemble.samples == 0 {
-                return Err(ExplorationError::EmptyOptionList {
-                    list: "fault ensemble samples".into(),
-                });
-            }
-        }
+            (None, Some(model)) => SearchObjective::Serving(model),
+            (None, None) => SearchObjective::Clean,
+        };
         if let Some(spec) = &self.faults {
             if spec.kinds.is_empty() {
                 return Err(ExplorationError::EmptyOptionList {
@@ -806,14 +792,12 @@ impl ExplorerBuilder {
             nodes: self.nodes,
             options,
             faults: self.faults,
-            fault_aware: self.fault_aware,
-            serving: self.serving,
+            objective,
             baselines: self.baselines,
             budget: self.budget,
             inject: self.inject,
             checkpoint_every: self.checkpoint_every,
             sink: self.sink,
-            sequential: self.sequential,
         })
     }
 }
@@ -828,14 +812,12 @@ pub struct Explorer {
     nodes: Vec<MultiWaferConfig>,
     options: SchedulerOptions,
     faults: Option<FaultSweepSpec>,
-    fault_aware: Option<FaultAwareSpec>,
-    serving: Option<Arc<dyn ServingModel>>,
+    objective: SearchObjective,
     baselines: Vec<Box<dyn BaselineModel>>,
     budget: Option<SearchBudget>,
     inject: Option<Injection>,
     checkpoint_every: Option<usize>,
     sink: Option<Arc<dyn CheckpointSink>>,
-    sequential: bool,
 }
 
 impl std::fmt::Debug for Explorer {
@@ -846,14 +828,12 @@ impl std::fmt::Debug for Explorer {
             .field("nodes", &self.nodes.len())
             .field("options", &self.options)
             .field("faults", &self.faults)
-            .field("fault_aware", &self.fault_aware)
-            .field("serving", &self.serving.as_ref().map(|m| m.name()))
+            .field("objective", &self.objective)
             .field("baselines", &self.baselines.len())
             .field("budget", &self.budget)
             .field("inject", &self.inject)
             .field("checkpoint_every", &self.checkpoint_every)
             .field("sink", &self.sink.is_some())
-            .field("sequential", &self.sequential)
             .finish()
     }
 }
@@ -943,61 +923,61 @@ impl Explorer {
 
     fn run_with(&self, resume: Option<&SearchCheckpoint>) -> ExplorationReport {
         let ctx = self.base_ctx();
+        // Each single-wafer leg yields its record, its winner's score and
+        // its profile cache.
+        let explore_wafer = |i: usize, ctx: &SessionCtx<'_>| {
+            let wafer = &self.wafers[i];
+            let leg = explore_impl(wafer, &self.job, &self.options, &self.objective, ctx);
+            let (best, score) = leg.best.unzip();
+            let record = ArchRecord {
+                arch: wafer.name.clone(),
+                wafer: wafer.clone(),
+                best,
+                stats: leg.stats,
+                outcome: leg.outcome,
+                failures: leg.failures,
+                cache_stats: leg.cache.stats(),
+            };
+            (record, score, leg.cache)
+        };
         let outcomes = self.run_legs(
             &ctx,
             resume,
             false,
             self.wafers.len(),
-            // A reused leg gets a fresh cache: the ranking lookups below
-            // re-memoize from scratch, and entries are pure functions of
-            // their keys, so the values cannot change.
-            |cp, i| Some((cp.completed_single.get(i)?.clone(), ProfileCache::new())),
-            |done| self.snapshot(done.iter().map(|(r, _)| r.clone()).collect(), Vec::new()),
-            |i, leg_ctx| self.explore_one(&self.wafers[i], leg_ctx),
+            // A reused leg has no stored score: its winner is scored
+            // once more on a fresh cache, whose entries are pure
+            // functions of their keys, so the score cannot change.
+            |cp, i| {
+                let rec = cp.completed_single.get(i)?.clone();
+                let cache = ProfileCache::new();
+                let score = rec.best.as_ref().map(|cfg| {
+                    self.objective
+                        .score(&rec.wafer, &self.job, cfg, &cache, None)
+                });
+                Some((rec, score, cache))
+            },
+            |done| self.snapshot(done.iter().map(|(r, ..)| r.clone()).collect(), Vec::new()),
+            explore_wafer,
         );
-        let (single_wafer, caches): (Vec<ArchRecord>, Vec<ProfileCache>) =
-            outcomes.into_iter().unzip();
 
-        // The ranking key per feasible candidate: clean iteration
-        // seconds, or — fault-aware — the ensemble-aggregated effective
-        // seconds (re-using each candidate's own search cache), or —
-        // serving — the serving model's score (where a non-finite score
-        // marks the candidate unserveable and drops it). Lowest key
-        // wins; ties keep the earliest index so the winner does not
-        // depend on evaluation order.
-        let keys: Vec<Option<f64>> = single_wafer
+        // Rank the winners (every scheduled config is feasible) on the
+        // score their leg ranked them by. Lowest wins; ties keep the
+        // earliest index so the winner does not depend on evaluation
+        // order.
+        let best_index = outcomes
             .iter()
-            .zip(&caches)
-            .map(|(rec, cache)| {
-                let cfg = rec.best.as_ref().filter(|c| c.report.feasible)?;
-                if let Some(model) = &self.serving {
-                    let key = model.score(&rec.wafer, &self.job, cfg, cache);
-                    return key.is_finite().then_some(key);
-                }
-                Some(match &self.fault_aware {
-                    Some(fa) => ensemble_effective_secs(
-                        &rec.wafer,
-                        &self.job,
-                        cfg,
-                        &fa.ensemble,
-                        fa.objective,
-                        cache,
-                    ),
-                    None => cfg.report.iteration.as_secs(),
-                })
+            .enumerate()
+            .filter_map(|(i, (_, score, _))| Some((i, (*score)?)))
+            .fold(None, |best, (i, score)| match best {
+                Some((_, b)) if b <= score => best,
+                _ => Some((i, score)),
             })
-            .collect();
-        let mut best_index: Option<usize> = None;
-        for (i, key) in keys.iter().enumerate() {
-            let Some(key) = key else { continue };
-            let better = match best_index.and_then(|b| keys[b]) {
-                None => true,
-                Some(best_key) => *key < best_key,
-            };
-            if better {
-                best_index = Some(i);
-            }
-        }
+            .map(|(i, _)| i);
+        let (single_wafer, caches): (Vec<ArchRecord>, Vec<ProfileCache>) = outcomes
+            .into_iter()
+            .map(|(rec, _, cache)| (rec, cache))
+            .unzip();
 
         let explore_node = |i: usize, ctx: &SessionCtx<'_>| {
             let node = &self.nodes[i];
@@ -1105,33 +1085,6 @@ impl Explorer {
         ))
     }
 
-    fn explore_one(&self, wafer: &WaferConfig, ctx: &SessionCtx<'_>) -> (ArchRecord, ProfileCache) {
-        let LegOutcome {
-            best,
-            stats,
-            outcome,
-            failures,
-            cache,
-        } = explore_impl(
-            wafer,
-            &self.job,
-            &self.options,
-            self.fault_aware.as_ref(),
-            self.serving.as_deref(),
-            ctx,
-        );
-        let record = ArchRecord {
-            arch: wafer.name.clone(),
-            wafer: wafer.clone(),
-            best: best.map(|(b, _)| b),
-            stats,
-            outcome,
-            failures,
-            cache_stats: cache.stats(),
-        };
-        (record, cache)
-    }
-
     /// A leg-boundary [`SearchCheckpoint`] of this session (no
     /// frontier: a resume starts the next leg from scratch).
     fn snapshot(
@@ -1172,7 +1125,7 @@ impl Explorer {
     ) -> Vec<T> {
         if self.sink.is_none() && resume.is_none() {
             let idxs: Vec<usize> = (0..legs).collect();
-            return run_items(&idxs, multi || self.sequential, |&i| run(i, ctx));
+            return run_items(&idxs, multi || self.options.sequential, |&i| run(i, ctx));
         }
         let mut frontier = resume
             .and_then(|cp| cp.frontier.as_ref())

@@ -416,20 +416,17 @@ pub fn refine(
     overflow: &[Bytes],
     spare: &[Bytes],
     pp_volume: f64,
-    capacity: Bytes,
+    _capacity: Bytes,
     params: &GaParams,
 ) -> GaResult {
     let tile = base_placement.stages[0];
     let model = PlacementCostModel::new(*mesh, tile.w, tile.h, pp_volume);
     refine_with_model(
-        mesh,
         stages,
         base_plan,
         base_placement,
         overflow,
         spare,
-        pp_volume,
-        capacity,
         &model,
         params,
     )
@@ -438,27 +435,17 @@ pub fn refine(
 /// [`refine`] on a caller-provided (typically cached) cost model, so
 /// path-fragment and distance tables are shared with the placement hill
 /// climb and across search points (see
-/// [`crate::cache::ProfileCache::cost_model`]).
-#[allow(clippy::too_many_arguments)]
-pub fn refine_with_model(
-    mesh: &Mesh2D,
+/// [`crate::cache::ProfileCache::cost_model`]). The model carries the
+/// mesh, the tile shape of `base_placement` and the pipeline volume.
+pub(crate) fn refine_with_model(
     stages: &[StageProfile],
     base_plan: &RecomputePlan,
     base_placement: &Placement,
     overflow: &[Bytes],
     spare: &[Bytes],
-    pp_volume: f64,
-    _capacity: Bytes,
     model: &PlacementCostModel,
     params: &GaParams,
 ) -> GaResult {
-    assert!(
-        model.mesh() == mesh
-            && model.tile_w() == base_placement.stages[0].w
-            && model.tile_h() == base_placement.stages[0].h
-            && model.pp_volume() == pp_volume,
-        "cost model must match the refinement's mesh, tile shape and pp_volume"
-    );
     let engine = Engine::Model {
         model,
         base_t_max: plan_t_max(stages, base_plan),
@@ -476,13 +463,13 @@ pub fn refine_with_model(
         .map(|(_, s)| *s)
         .collect();
     refine_engine(
-        mesh,
+        model.mesh(),
         stages,
         base_plan,
         base_placement,
         overflow,
         spare,
-        pp_volume,
+        model.pp_volume(),
         params,
         engine,
         slots,
@@ -503,7 +490,6 @@ pub fn refine_naive(
     overflow: &[Bytes],
     spare: &[Bytes],
     pp_volume: f64,
-    _capacity: Bytes,
     params: &GaParams,
 ) -> GaResult {
     let tile = base_placement.stages[0];
@@ -772,7 +758,7 @@ mod tests {
             &mesh, &stages, &plan, &placement, &overflow, &spare, ppv, cap, &params,
         );
         let naive = refine_naive(
-            &mesh, &stages, &plan, &placement, &overflow, &spare, ppv, cap, &params,
+            &mesh, &stages, &plan, &placement, &overflow, &spare, ppv, &params,
         );
         assert_eq!(inc.fitness.to_bits(), naive.fitness.to_bits());
         let bits = |h: &[f64]| h.iter().map(|f| f.to_bits()).collect::<Vec<_>>();

@@ -150,10 +150,11 @@ impl CheckpointSpec {
 /// A fault-aware search request: the ensemble to score candidates
 /// against plus the objective folding its per-sample effective times
 /// into the scalar the wave engine minimizes. Built by
-/// [`crate::ExplorerBuilder::fault_aware`] and threaded (by reference)
-/// through the single-wafer search — deliberately *not* a
-/// [`crate::SchedulerOptions`] field, so serialized option sets stay
-/// oblivious to whether a run was fault-aware.
+/// [`crate::ExplorerBuilder::fault_aware`] and carried into the
+/// single-wafer search as the fault-aware variant of its one search
+/// objective — deliberately *not* a [`crate::SchedulerOptions`] field,
+/// so serialized option sets stay oblivious to whether a run was
+/// fault-aware.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultAwareSpec {
     /// The wafer population every candidate is scored against.
@@ -301,11 +302,25 @@ pub(crate) fn ensemble_effective_secs_within(
     cache: &ProfileCache,
     cutoff: Option<Instant>,
 ) -> f64 {
+    per_sample_secs(wafer, job, cfg, ensemble, cache, cutoff)
+        .map_or(f64::INFINITY, |secs| objective.aggregate_secs(&secs))
+}
+
+/// The effective seconds of `cfg` on every ensemble sample, in sample
+/// order; `None` once `cutoff` passes mid-ensemble.
+fn per_sample_secs(
+    wafer: &WaferConfig,
+    job: &TrainingJob,
+    cfg: &ScheduledConfig,
+    ensemble: &FaultEnsemble,
+    cache: &ProfileCache,
+    cutoff: Option<Instant>,
+) -> Option<Vec<f64>> {
     let mut per_sample = Vec::with_capacity(ensemble.samples);
     for m in ensemble.sample_maps(wafer.nx, wafer.ny) {
         // wsc-lint: allow(D004, "the anytime deadline must be able to interrupt the per-sample ensemble loop; an expired cutoff degrades the score to INFINITY rather than blocking past the budget")
         if cutoff.is_some_and(|dl| Instant::now() >= dl) {
-            return f64::INFINITY;
+            return None;
         }
         per_sample.push(effective_iteration_secs(
             wafer,
@@ -316,7 +331,7 @@ pub(crate) fn ensemble_effective_secs_within(
             cache,
         ));
     }
-    objective.aggregate_secs(&per_sample)
+    Some(per_sample)
 }
 
 /// Ensemble goodput of `cfg` in useful FLOP/s: the clean iteration's
@@ -336,11 +351,7 @@ pub fn ensemble_goodput(
     if ensemble.samples == 0 {
         return Err(GoodputError::EmptySamples);
     }
-    let per_sample: Vec<f64> = ensemble
-        .sample_maps(wafer.nx, wafer.ny)
-        .iter()
-        .map(|m| effective_iteration_secs(wafer, job, cfg, m, &ensemble.checkpoint, cache))
-        .collect();
+    let per_sample = per_sample_secs(wafer, job, cfg, ensemble, cache, None).unwrap_or_default();
     let infeasible = per_sample.iter().filter(|s| !s.is_finite()).count();
     if infeasible == per_sample.len() {
         return Err(GoodputError::AllSamplesInfeasible {

@@ -32,6 +32,7 @@ use crate::stage::{boundary_bytes, StageProfile};
 use crate::wave::{bounded_search, CandidateFailure, Outcome, SessionCtx, WaveResult, WorkItem};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+use std::time::Instant;
 use wsc_arch::fault::FaultMap;
 use wsc_arch::units::Bytes;
 use wsc_arch::wafer::WaferConfig;
@@ -522,14 +523,11 @@ pub fn schedule_plan_cached(
     // kept only when the full evaluation confirms the improvement.
     let (placement, rplan, grants, report) = if let Some(params) = &opts.ga {
         let refined = ga::refine_with_model(
-            &mesh,
             &stages[..],
             &rplan,
             &placement,
             &overflow,
             &spare,
-            pp_volume,
-            cap,
             // wsc-lint: allow(S001, "cost_model is constructed above under the same opts.ga flag that guards this branch")
             cost_model.as_ref().expect("built when ga is enabled"),
             params,
@@ -720,28 +718,92 @@ fn config_lower_bound(
     Some(bound)
 }
 
+/// What a single-wafer candidate competes on: the one place the search
+/// chooses between clean, fault-aware and serving ranking, resolved by
+/// [`crate::ExplorerBuilder::build`]. Not a [`SchedulerOptions`] field,
+/// so serialized option sets stay oblivious to it.
+pub(crate) enum SearchObjective {
+    /// Clean iteration seconds.
+    Clean,
+    /// Ensemble effective seconds, under the clean bound, which stays
+    /// sound because faults and checkpoints only add time
+    /// (`crate::goodput` module docs).
+    FaultAware(FaultAwareSpec),
+    /// The model's own score and bound (soundness obligation in the
+    /// `crate::serving` module docs).
+    Serving(Arc<dyn ServingModel>),
+}
+
+impl std::fmt::Debug for SearchObjective {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SearchObjective::Clean => write!(f, "Clean"),
+            SearchObjective::FaultAware(fa) => write!(f, "FaultAware({fa:?})"),
+            SearchObjective::Serving(model) => write!(f, "Serving({})", model.name()),
+        }
+    }
+}
+
+impl SearchObjective {
+    /// Analytic lower bound on [`Self::score`] over every schedule of
+    /// `plan`; `None` = statically infeasible.
+    pub(crate) fn bound(
+        &self,
+        wafer: &WaferConfig,
+        job: &TrainingJob,
+        plan: &ParallelPlan,
+        opts: &SchedulerOptions,
+        cache: &ProfileCache,
+    ) -> Option<f64> {
+        match self {
+            // Serving ranks on a different axis than iteration seconds,
+            // so the clean training bound is meaningless for it. The
+            // training geometry gate still applies — a plan that cannot
+            // be laid out cannot be scheduled, let alone served.
+            SearchObjective::Serving(model) => {
+                plan_geometry(wafer, 1, job, plan)?;
+                model.bound(wafer, job, plan, cache)
+            }
+            SearchObjective::Clean | SearchObjective::FaultAware(_) => {
+                config_lower_bound(wafer, job, plan, opts, cache)
+            }
+        }
+    }
+
+    /// The score `cfg` competes on (lower wins). The ensemble loop
+    /// honors `deadline`: a candidate it interrupts scores `INFINITY`,
+    /// as does one the serving model cannot score.
+    pub(crate) fn score(
+        &self,
+        wafer: &WaferConfig,
+        job: &TrainingJob,
+        cfg: &ScheduledConfig,
+        cache: &ProfileCache,
+        deadline: Option<Instant>,
+    ) -> f64 {
+        match self {
+            SearchObjective::Clean => cfg.report.iteration.as_secs(),
+            SearchObjective::FaultAware(fa) => ensemble_effective_secs_within(
+                wafer,
+                job,
+                cfg,
+                &fa.ensemble,
+                fa.objective,
+                cache,
+                deadline,
+            ),
+            SearchObjective::Serving(model) => model.score(wafer, job, cfg, cache),
+        }
+    }
+}
+
 /// The single-wafer leg of [`search_leg`] (driven by
 /// [`crate::Explorer`]): the intra-wafer [`ParallelPlan`] space
 /// (`TP × PP × strategy`, all stages on this wafer), minus the points
-/// that strand more than half the wafer.
-///
-/// With `fault_aware` set, candidates are ranked by
-/// [`crate::goodput::ensemble_effective_secs`] — the checkpoint-aware
-/// effective iteration time over the spec's Monte-Carlo wafer
-/// population — instead of the clean iteration time. The analytic bound
-/// stays the *clean* lower bound, which remains sound because every
-/// fault/checkpoint transformation only ever adds time
-/// (`crate::goodput` module docs); the `search_equivalence` proptests
-/// pin pruned ≡ exhaustive with the fault axes on.
-///
-/// With `serving` set, candidates are instead ranked by the
-/// [`ServingModel`]'s score (e.g. negated goodput-under-SLO from the
-/// `wsc-serve` continuous-batching simulator) and bounded by its
-/// analytic serving bound — the trait carries its own soundness
-/// obligation (`crate::serving` module docs), and `tests/serving.rs`
-/// pins pruned ≡ exhaustive for that leg. The two ranking overrides
-/// are mutually exclusive; [`crate::ExplorerBuilder::build`] rejects
-/// the combination.
+/// that strand more than half the wafer, bounded and ranked by
+/// `objective`. Each evaluated candidate is scored once and carries its
+/// score, so neither the wave loop's incumbent reads nor the explorer's
+/// cross-wafer ranking re-run it.
 ///
 /// The wave loop runs without the GA; with `opts.ga` set, the GA
 /// refines the winner of a complete leg once.
@@ -749,34 +811,10 @@ pub(crate) fn explore_impl(
     wafer: &WaferConfig,
     job: &TrainingJob,
     opts: &SchedulerOptions,
-    fault_aware: Option<&FaultAwareSpec>,
-    serving: Option<&dyn ServingModel>,
+    objective: &SearchObjective,
     ctx: &SessionCtx<'_>,
 ) -> LegOutcome<ScheduledConfig> {
     let dies = wafer.die_count();
-    // The score the incumbent competes on: clean iteration seconds, or —
-    // fault-aware — the ensemble-aggregated effective seconds. Computed
-    // once per evaluated candidate and carried alongside it, so the wave
-    // loop's repeated incumbent reads never re-run the ensemble. The
-    // ensemble loop honors the session deadline: a candidate the budget
-    // interrupts mid-ensemble scores INFINITY and is dropped.
-    let score_of = |cfg: &ScheduledConfig, cache: &ProfileCache| {
-        if let Some(model) = serving {
-            return model.score(wafer, job, cfg, cache);
-        }
-        match fault_aware {
-            Some(fa) => ensemble_effective_secs_within(
-                wafer,
-                job,
-                cfg,
-                &fa.ensemble,
-                fa.objective,
-                cache,
-                ctx.deadline,
-            ),
-            None => cfg.report.iteration.as_secs(),
-        }
-    };
     let inner = SchedulerOptions {
         ga: None,
         ..opts.clone()
@@ -806,6 +844,9 @@ pub(crate) fn explore_impl(
         }
         items
     };
+    let score = |cfg: &ScheduledConfig, cache: &ProfileCache| {
+        objective.score(wafer, job, cfg, cache, ctx.deadline)
+    };
     let mut leg = search_leg(
         wafer,
         dies,
@@ -813,21 +854,10 @@ pub(crate) fn explore_impl(
         opts,
         ctx,
         work_list,
-        |it, cache| match serving {
-            // Serving runs rank on a different axis than iteration
-            // seconds, so the clean training bound is meaningless for
-            // them; the model brings its own sound bound. The training
-            // geometry gate still applies — a plan that cannot be laid
-            // out cannot be scheduled, let alone served.
-            Some(model) => {
-                plan_geometry(wafer, 1, job, &it.plan)?;
-                model.bound(wafer, job, &it.plan, cache)
-            }
-            None => config_lower_bound(wafer, job, &it.plan, opts, cache),
-        },
+        |it, cache| objective.bound(wafer, job, &it.plan, opts, cache),
         |it, cache| {
             let cfg = schedule_plan_cached(wafer, job, &it.plan, &inner, None, cache)?;
-            let score = score_of(&cfg, cache);
+            let score = score(&cfg, cache);
             // A non-finite score cannot rank (deadline-interrupted
             // ensemble, or every sample infeasible): treat the candidate
             // as unscoreable rather than letting INFINITY win a search
@@ -843,7 +873,7 @@ pub(crate) fn explore_impl(
         if let Some((b, bscore)) = leg.best.take() {
             let refined = schedule_plan_cached(wafer, job, &b.plan, opts, None, &leg.cache)
                 .map(|r| {
-                    let rscore = score_of(&r, &leg.cache);
+                    let rscore = score(&r, &leg.cache);
                     (r, rscore)
                 })
                 .filter(|(_, rscore)| *rscore <= bscore);
@@ -908,7 +938,10 @@ mod tests {
         opts: &SchedulerOptions,
         fault_aware: Option<&FaultAwareSpec>,
     ) -> LegOutcome<ScheduledConfig> {
-        explore_impl(wafer, job, opts, fault_aware, None, &SessionCtx::none())
+        let objective = fault_aware.map_or(SearchObjective::Clean, |fa| {
+            SearchObjective::FaultAware(fa.clone())
+        });
+        explore_impl(wafer, job, opts, &objective, &SessionCtx::none())
     }
 
     /// The single-wafer plan geometry as the Alg. 1 leg derived it

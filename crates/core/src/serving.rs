@@ -41,10 +41,12 @@
 //! over the serving leg just as `tests/search_equivalence.rs` does for
 //! the fault-aware one.
 //!
-//! Like [`crate::FaultAwareSpec`], the model is threaded through the
-//! search by reference and is deliberately *not* a
+//! Like [`crate::FaultAwareSpec`], the model enters the search as one
+//! variant of the crate's single search objective, which owns both the
+//! bound and the score, and is deliberately *not* a
 //! [`crate::SchedulerOptions`] field: serialized option sets stay
-//! oblivious to whether a run was serving-aware.
+//! oblivious to whether a run was serving-aware. Each evaluated
+//! candidate is scored once; the cross-wafer ranking reuses that score.
 
 use crate::cache::ProfileCache;
 use crate::scheduler::ScheduledConfig;

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example multi_wafer_deepseek`
 
-use watos::Explorer;
+use watos::{Explorer, PlanFilter};
 use wsc_arch::presets;
 use wsc_workload::training::TrainingJob;
 use wsc_workload::zoo;
@@ -29,8 +29,7 @@ fn main() {
         .wafer(presets::config(3))
         .multi_wafer(presets::multi_wafer_18())
         .multi_wafer(presets::multi_wafer_4())
-        .cross_wafer_tp()
-        .uneven_stage_maps()
+        .plans(PlanFilter::all())
         .no_ga()
         .build()
         .expect("valid configuration")

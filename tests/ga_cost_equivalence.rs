@@ -168,8 +168,7 @@ proptest! {
             Bytes::gib(64), &params,
         );
         let naive = refine_naive(
-            &mesh, &stages, &plan, &placement, &overflow, &spare, ppv,
-            Bytes::gib(64), &params,
+            &mesh, &stages, &plan, &placement, &overflow, &spare, ppv, &params,
         );
 
         prop_assert_eq!(

@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Once};
 use watos::{
-    ExplorationError, Explorer, ExplorerBuilder, Injection, MemorySink, SearchBudget,
-    SearchCheckpoint,
+    ExplorationError, Explorer, ExplorerBuilder, FaultEnsemble, Injection, MemorySink,
+    RobustObjective, SearchBudget, SearchCheckpoint,
 };
 use wsc_arch::presets;
 use wsc_arch::wafer::{MultiWaferConfig, WaferConfig};
@@ -162,8 +162,17 @@ proptest! {
         cap in 1usize..40,
         pick in 0usize..64,
         seed in 0u64..1_000_000,
+        fault_aware in 0u8..2,
     ) {
         let job = small_job(layers);
+        // With the fault-aware objective on, both single-wafer legs rank
+        // by ensemble effective seconds, and a resume that reuses a
+        // completed leg must re-score its winner to the same value.
+        let session = |a, b, job: &TrainingJob, seed| match fault_aware {
+            0 => session(a, b, job, seed),
+            _ => session(a, b, job, seed)
+                .fault_aware(FaultEnsemble::clustered(0.2, 2, seed), RobustObjective::Mean),
+        };
 
         // The uninterrupted reference run.
         let full = session(cfg_idx, cfg_other, &job, seed).build().expect("valid session").run();

@@ -4,8 +4,11 @@
 //! workload value with bit-exact JSON replay.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use watos::scheduler::SchedulerOptions;
-use watos::{Explorer, ProfileCache};
+use watos::{
+    ExplorationError, Explorer, FaultEnsemble, ProfileCache, RobustObjective, ServingModel,
+};
 use wsc_arch::presets;
 use wsc_serve::{
     simulate, PhaseCost, ServingExplorerExt, ServingSlo, SimConfig, SloServingModel, Trace,
@@ -53,6 +56,50 @@ fn pruned_serving_search_equals_exhaustive() {
         "serving bound never pruned a candidate"
     );
     assert_eq!(exhaustive.search_stats().pruned, 0);
+}
+
+/// The cross-wafer ranking of a serving search crowns the candidate
+/// whose winner has the lowest serving score — the score its leg ranked
+/// it by, recomputed here through the public model on a fresh cache.
+#[test]
+fn two_wafer_serving_search_crowns_the_lowest_serving_score() {
+    let model = SloServingModel::new(small_workload(8.0, 24), ServingSlo::ttft(1.0));
+    let job = model.profile_job();
+    let report = Explorer::builder()
+        .job(job.clone())
+        .serving_model(Arc::new(model.clone()))
+        .wafer(presets::config(3))
+        .wafer(presets::config(4))
+        .strategies(vec![TpSplitStrategy::SequenceParallel])
+        .no_ga()
+        .seed(7)
+        .build()
+        .expect("valid serving search")
+        .run();
+    let scores: Vec<f64> = report
+        .single_wafer
+        .iter()
+        .map(|rec| {
+            let cfg = rec.best.as_ref().expect("every candidate serves the trace");
+            model.score(&rec.wafer, &job, cfg, &ProfileCache::new())
+        })
+        .collect();
+    // The first minimum wins a tie, as in the ranking.
+    let argmin = (0..scores.len()).min_by(|&a, &b| scores[a].total_cmp(&scores[b]));
+    assert_eq!(report.best_index, argmin, "scores {scores:?}");
+}
+
+/// Fault-aware and serving ranking cannot share one session.
+#[test]
+fn fault_aware_and_serving_objectives_conflict() {
+    let err = Explorer::builder()
+        .serving(small_workload(8.0, 24), ServingSlo::ttft(1.0))
+        .wafer(presets::config(3))
+        .fault_aware(FaultEnsemble::clustered(0.2, 2, 7), RobustObjective::Mean)
+        .build()
+        .map(|_| ())
+        .unwrap_err();
+    assert_eq!(err, ExplorationError::ConflictingObjectives);
 }
 
 /// The co-exploration payoff the subsystem exists for: under a
