@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 use watos::evaluator::{evaluate, EvalInput, EvalOptions, PerfReport};
 use watos::placement::{row_major, Placement};
 use watos::stage::build_stage_profiles;
+use watos::ProfileCache;
 use wsc_arch::wafer::WaferConfig;
 use wsc_mesh::collective::CollectiveAlgo;
 use wsc_pipeline::recompute::naive_recompute;
@@ -115,7 +116,7 @@ pub fn mg_wafer(wafer: &WaferConfig, job: &TrainingJob) -> Option<MgWaferResult>
                     punish: 0.0, // and no contention avoidance
                     robust: false,
                 },
-                cache: None,
+                cache: &ProfileCache::new(),
             });
             if !report.feasible {
                 continue;

@@ -4,6 +4,7 @@ use crate::util::{f2, f3, TextTable};
 use watos::evaluator::{evaluate, EvalInput, EvalOptions};
 use watos::placement::{choose_tile, serpentine};
 use watos::stage::build_stage_profiles;
+use watos::ProfileCache;
 use wsc_arch::presets;
 use wsc_baselines::gpu::evaluate_gpu;
 use wsc_pipeline::recompute::RecomputePlan;
@@ -84,7 +85,7 @@ pub fn fig1_data(model: wsc_workload::model::LlmModel) -> Vec<Fig1Row> {
             grants: &[],
             faults: None,
             options: EvalOptions::default(),
-            cache: None,
+            cache: &ProfileCache::new(),
         });
         rows.push(Fig1Row {
             config: format!("D({dp})T({tp})P({pp})"),

@@ -380,22 +380,6 @@ impl ProfileCache {
     }
 }
 
-/// [`all_reduce_time`] through an optional cache (the evaluator runs both
-/// cached — inside a search — and standalone).
-pub fn cached_all_reduce(
-    cache: Option<&ProfileCache>,
-    algo: CollectiveAlgo,
-    shape: GroupShape,
-    bytes: Bytes,
-    link_bw: Bandwidth,
-    alpha: Time,
-) -> Time {
-    match cache {
-        Some(c) => c.all_reduce(algo, shape, bytes, link_bw, alpha),
-        None => all_reduce_time(algo, shape, bytes, link_bw, alpha),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,7 @@
 //! assigner, end-to-end timing from the exact 1F1B simulator, plus DP
 //! gradient synchronization and the optimizer step.
 
-use crate::cache::{cached_all_reduce, ProfileCache};
+use crate::cache::ProfileCache;
 use crate::dram_alloc::DramGrant;
 use crate::placement::Placement;
 use crate::stage::{boundary_bytes, StageProfile};
@@ -121,8 +121,9 @@ pub struct EvalInput<'a> {
     pub faults: Option<&'a FaultMap>,
     /// Evaluator knobs.
     pub options: EvalOptions,
-    /// Shared memo for collective-time lookups (None = compute directly).
-    pub cache: Option<&'a ProfileCache>,
+    /// Shared memo for collective-time lookups; a one-off evaluation
+    /// passes `&ProfileCache::new()`.
+    pub cache: &'a ProfileCache,
 }
 
 /// The hierarchical cross-wafer step a TP group spanning `span > 1`
@@ -145,7 +146,7 @@ pub(crate) struct SeamStep {
 /// fault-scaled bandwidth) and both lower bounds (healthy bandwidth),
 /// so a bound can never drift from what its evaluator charges.
 pub(crate) fn stage_comm_times(
-    cache: Option<&ProfileCache>,
+    cache: &ProfileCache,
     collective: CollectiveAlgo,
     shape: GroupShape,
     seam: Option<&SeamStep>,
@@ -156,10 +157,9 @@ pub(crate) fn stage_comm_times(
     let price = |bytes: Bytes, collectives: usize| {
         let n = collectives.max(1);
         let volume = bytes / n as u64;
-        let mut t = cached_all_reduce(cache, collective, shape, volume, eff_link, alpha);
+        let mut t = cache.all_reduce(collective, shape, volume, eff_link, alpha);
         if let Some(seam) = seam {
-            t += cached_all_reduce(
-                cache,
+            t += cache.all_reduce(
                 CollectiveAlgo::RingBi,
                 GroupShape::new(seam.span, 1),
                 volume,
@@ -195,7 +195,7 @@ pub(crate) fn pipeline_floor(
     let mut sum_mb = 0.0f64;
     for sp in stages {
         let (fwd_comm, bwd_comm) = stage_comm_times(
-            Some(cache),
+            cache,
             collective,
             shape,
             seam,
@@ -211,28 +211,25 @@ pub(crate) fn pipeline_floor(
 }
 
 /// DP gradient all-reduce time per iteration (zero when `dp == 1`) over
-/// a `min(dp, nx) × rows` group on the D2D mesh — shared by both legs'
-/// evaluators and lower bounds. The legs keep their own group shape
-/// (`rows`; see the search-driver docs in [`crate::scheduler`]).
-#[allow(clippy::too_many_arguments)]
+/// a `min(dp, nx) × ⌈dp / nx⌉` group on the D2D mesh — one shape for
+/// both legs' evaluators and lower bounds (the node passes
+/// [`CollectiveAlgo::RingBi`]).
 pub(crate) fn dp_allreduce_time(
-    cache: Option<&ProfileCache>,
+    cache: &ProfileCache,
     collective: CollectiveAlgo,
     wafer: &WaferConfig,
     job: &TrainingJob,
     tp: usize,
     pp: usize,
     dp: usize,
-    rows: usize,
 ) -> Time {
     if dp <= 1 {
         return Time::ZERO;
     }
     let grad_bytes = Bytes::new((job.model.total_params() * 2.0 / (tp * pp) as f64) as u64);
-    cached_all_reduce(
-        cache,
+    cache.all_reduce(
         collective,
-        GroupShape::new(dp.min(wafer.nx), rows),
+        GroupShape::new(dp.min(wafer.nx), dp.div_ceil(wafer.nx).max(1)),
         grad_bytes,
         wafer.d2d_link_bw(),
         wafer.d2d_link_latency,
@@ -429,7 +426,6 @@ pub fn evaluate(input: &EvalInput<'_>) -> PerfReport {
         input.ctx.tp,
         pp,
         dp,
-        dp.div_ceil(wafer.nx).max(1),
     );
 
     // ---- Optimizer step: stream modelP through DRAM once. ----
@@ -589,7 +585,7 @@ mod tests {
                 robust,
                 ..EvalOptions::default()
             },
-            cache: None,
+            cache: &ProfileCache::new(),
         };
         evaluate(&input)
     }
@@ -678,7 +674,7 @@ mod tests {
             grants: &[],
             faults: None,
             options: EvalOptions::default(),
-            cache: None,
+            cache: &ProfileCache::new(),
         };
         assert!(!evaluate(&input).feasible);
     }

@@ -63,6 +63,12 @@ pub enum ExplorationError {
         /// Which list was empty.
         list: String,
     },
+    /// An explicit TP candidate is zero: no TP group has zero dies.
+    #[error("TP candidate {tp} must be at least 1")]
+    InvalidTpCandidate {
+        /// The offending degree.
+        tp: usize,
+    },
     /// The training job's batch geometry is unusable.
     #[error("invalid batch geometry: micro-batch {micro} must be in 1..=global batch {global}")]
     InvalidBatchGeometry {
@@ -705,10 +711,15 @@ impl ExplorerBuilder {
                 list: "collectives".into(),
             });
         }
-        if matches!(&options.tp_candidates, Some(c) if c.is_empty()) {
-            return Err(ExplorationError::EmptyOptionList {
-                list: "tp_candidates".into(),
-            });
+        if let Some(candidates) = &options.tp_candidates {
+            if candidates.is_empty() {
+                return Err(ExplorationError::EmptyOptionList {
+                    list: "tp_candidates".into(),
+                });
+            }
+            if let Some(&tp) = candidates.iter().find(|&&tp| tp == 0) {
+                return Err(ExplorationError::InvalidTpCandidate { tp });
+            }
         }
         if !options.punish.is_finite() || options.punish < 0.0 {
             return Err(ExplorationError::InvalidPunish {
@@ -917,7 +928,7 @@ impl Explorer {
             max_pruned_ratio: budget.max_pruned_ratio,
             inject: self.inject.as_ref(),
             checkpoint_every: self.checkpoint_every,
-            ..SessionCtx::none()
+            ..SessionCtx::default()
         }
     }
 
@@ -927,7 +938,7 @@ impl Explorer {
         // its profile cache.
         let explore_wafer = |i: usize, ctx: &SessionCtx<'_>| {
             let wafer = &self.wafers[i];
-            let leg = explore_impl(wafer, &self.job, &self.options, &self.objective, ctx);
+            let (leg, cache) = explore_impl(wafer, &self.job, &self.options, &self.objective, ctx);
             let (best, score) = leg.best.unzip();
             let record = ArchRecord {
                 arch: wafer.name.clone(),
@@ -936,9 +947,9 @@ impl Explorer {
                 stats: leg.stats,
                 outcome: leg.outcome,
                 failures: leg.failures,
-                cache_stats: leg.cache.stats(),
+                cache_stats: cache.stats(),
             };
-            (record, score, leg.cache)
+            (record, score, cache)
         };
         let outcomes = self.run_legs(
             &ctx,
@@ -981,7 +992,7 @@ impl Explorer {
 
         let explore_node = |i: usize, ctx: &SessionCtx<'_>| {
             let node = &self.nodes[i];
-            let leg = explore_multi_wafer_impl(node, &self.job, &self.options, ctx);
+            let (leg, cache) = explore_multi_wafer_impl(node, &self.job, &self.options, ctx);
             MultiWaferRecord {
                 name: format!("{}x {}", node.wafers, node.wafer.name),
                 node: node.clone(),
@@ -989,7 +1000,7 @@ impl Explorer {
                 stats: leg.stats,
                 outcome: leg.outcome,
                 failures: leg.failures,
-                cache_stats: leg.cache.stats(),
+                cache_stats: cache.stats(),
             }
         };
         let multi_wafer = self.run_legs(

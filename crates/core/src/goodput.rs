@@ -38,6 +38,7 @@
 
 use crate::cache::ProfileCache;
 use crate::scheduler::{evaluate_scheduled_cached, ScheduledConfig};
+use crate::stats::splitmix64;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use thiserror::Error;
@@ -208,14 +209,6 @@ pub struct FaultEnsemble {
     pub checkpoint: CheckpointSpec,
 }
 
-/// SplitMix64 over `(seed, index)` — decorrelated per-sample streams
-/// from one base seed (the shared [`crate::stats::splitmix64`]
-/// construction, also used by the GA's per-genome streams and the
-/// serving trace driver).
-fn sample_seed(seed: u64, index: u64) -> u64 {
-    crate::stats::splitmix64(seed, index)
-}
-
 impl FaultEnsemble {
     /// A clustered-defect ensemble at `rate` with `samples` wafers and
     /// the default checkpoint model.
@@ -243,7 +236,7 @@ impl FaultEnsemble {
                     nx,
                     ny,
                     self.rate,
-                    sample_seed(self.seed, i as u64),
+                    splitmix64(self.seed, i as u64),
                 )
             })
             .collect()

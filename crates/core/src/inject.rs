@@ -34,6 +34,8 @@
 //!   recovery path.
 
 use crate::cache::ProfileCache;
+use crate::stats::splitmix64;
+use crate::wave::PlanKey;
 
 /// Domain separators so the panic, delay and corruption streams of one
 /// seed are decorrelated.
@@ -41,22 +43,11 @@ const DOMAIN_PANIC: u64 = 0x50414e49; // "PANI"
 const DOMAIN_DELAY: u64 = 0x44454c41; // "DELA"
 const DOMAIN_CORRUPT: u64 = 0x434f5252; // "CORR"
 
-/// SplitMix64 over `(seed, index)` — one decorrelated draw per key.
-fn splitmix(seed: u64, index: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(index.wrapping_mul(0xbf58_476d_1ce4_e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Fold a work-item tie-break key into one u64 injection index.
-fn fold_key(key: (usize, usize, usize, usize)) -> u64 {
-    let (tp, pp, sidx, pidx) = key;
-    splitmix(
-        (tp as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (pp as u64),
-        ((sidx as u64) << 32) | pidx as u64,
+fn fold_key(key: PlanKey) -> u64 {
+    splitmix64(
+        (key.tp as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (key.pp as u64),
+        ((key.sidx as u64) << 32) | key.pidx as u64,
     )
 }
 
@@ -140,7 +131,7 @@ impl Injection {
         if rate >= 1.0 {
             return true;
         }
-        let draw = splitmix(self.seed ^ domain, key);
+        let draw = splitmix64(self.seed ^ domain, key);
         // Map the top 53 bits to [0, 1) — exact on f64.
         ((draw >> 11) as f64 / (1u64 << 53) as f64) < rate
     }
@@ -155,14 +146,19 @@ impl Injection {
     /// key `key`: sleep if the delay stream fires, then panic if the
     /// panic stream fires. Called by the wave engine inside its
     /// `catch_unwind` guard, before the real evaluation.
-    pub(crate) fn apply(&self, key: (usize, usize, usize, usize)) {
+    pub(crate) fn apply(&self, key: PlanKey) {
         let k = fold_key(key);
         if self.decide(DOMAIN_DELAY, k, self.delay_rate) {
             std::thread::sleep(std::time::Duration::from_micros(self.delay_micros));
         }
         if self.decide(DOMAIN_PANIC, k, self.panic_rate) {
             // wsc-lint: allow(S001, "the harness's one job is to panic: callers opt in explicitly and the wave engine's catch_unwind converts it into a CandidateFailure record")
-            panic!("wsc-inject: seeded panic for candidate key {key:?}");
+            // The payload lands in `CandidateFailure` records of reports
+            // and checkpoints, so its text stays stable.
+            panic!(
+                "wsc-inject: seeded panic for candidate key ({}, {}, {}, {})",
+                key.tp, key.pp, key.sidx, key.pidx
+            );
         }
     }
 
@@ -230,8 +226,15 @@ mod tests {
     #[test]
     fn injected_panic_carries_the_marker() {
         let inj = Injection::seeded(0).panics(1.0);
-        let err = std::panic::catch_unwind(|| inj.apply((1, 2, 0, 0))).unwrap_err();
+        let key = PlanKey {
+            tp: 1,
+            pp: 2,
+            sidx: 0,
+            pidx: 0,
+        };
+        let err = std::panic::catch_unwind(|| inj.apply(key)).unwrap_err();
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("wsc-inject"), "payload: {msg}");
+        assert!(msg.ends_with("key (1, 2, 0, 0)"), "payload: {msg}");
     }
 }

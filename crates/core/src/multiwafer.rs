@@ -34,8 +34,9 @@
 //! * the 1F1B pipeline (Fig. 8a) is simulated exactly, with per-boundary
 //!   p2p cost `α + bytes/BW` — boundaries inside a wafer group use the
 //!   D2D link, seam boundaries use the W2W link;
-//! * a data-parallel gradient all-reduce (ring, wafer row) is appended
-//!   when `dp > 1`, as in the single-wafer evaluator.
+//! * a data-parallel gradient all-reduce (ring, on the single-wafer
+//!   evaluator's `min(dp, nx) × ⌈dp / nx⌉` group) is appended when
+//!   `dp > 1`.
 //!
 //! "Minus placement freedom" holds for the baseline evaluator only:
 //! behind the `node_placement` knob
@@ -71,14 +72,13 @@ use crate::dram_alloc::allocate_node;
 use crate::evaluator::{dp_allreduce_time, pipeline_floor, stage_comm_times, SeamStep};
 use crate::placement::{optimize_node, PairDemand};
 use crate::scheduler::{
-    plan_geometry, search_leg, tp_candidates, LegOutcome, PlanFilter, PlanGeometry,
-    SchedulerOptions,
+    plan_geometry, search_leg, tp_candidates, PlanFilter, PlanGeometry, SchedulerOptions,
 };
 use crate::stage::boundary_bytes;
-use crate::wave::{SessionCtx, WorkItem};
+use crate::wave::{SessionCtx, WaveResult, WorkItem};
 use serde::{Deserialize, Serialize};
 use wsc_arch::units::{Bytes, FlopRate, Time};
-use wsc_arch::wafer::{MultiWaferConfig, WaferConfig};
+use wsc_arch::wafer::MultiWaferConfig;
 use wsc_mesh::collective::{CollectiveAlgo, GroupShape};
 use wsc_mesh::multiwafer::MultiWaferFabric;
 use wsc_mesh::topology::Mesh2D;
@@ -223,7 +223,7 @@ fn evaluate_multi_wafer_plan_impl(
     let mut w2w_boundaries = 0usize;
     for (s, sp) in stages.iter().enumerate() {
         let (fwd_comm, bwd_comm) = stage_comm_times(
-            Some(cache),
+            cache,
             CollectiveAlgo::RingBi,
             shape,
             seam.as_ref(),
@@ -247,7 +247,7 @@ fn evaluate_multi_wafer_plan_impl(
             p2p,
         });
     }
-    let dp_time = node_dp_allreduce_time(wafer, job, plan.tp, pp, dp, cache);
+    let dp_time = dp_allreduce_time(cache, CollectiveAlgo::RingBi, wafer, job, plan.tp, pp, dp);
     let mut iteration = simulate(&timings, n_mb).iteration + dp_time;
 
     // Node-level Alg. 3 (behind the `node_placement` knob): re-place the
@@ -409,29 +409,6 @@ fn seam_step(node: &MultiWaferConfig, span: usize) -> Option<SeamStep> {
     })
 }
 
-/// The node's data-parallel gradient all-reduce (ring, one wafer row;
-/// zero when `dp == 1`) — identical in the evaluator and the lower
-/// bound, so the bound stays exact on this term.
-fn node_dp_allreduce_time(
-    wafer: &WaferConfig,
-    job: &TrainingJob,
-    tp: usize,
-    pp: usize,
-    dp: usize,
-    cache: &ProfileCache,
-) -> Time {
-    dp_allreduce_time(
-        Some(cache),
-        CollectiveAlgo::RingBi,
-        wafer,
-        job,
-        tp,
-        pp,
-        dp,
-        1,
-    )
-}
-
 /// Analytic lower bound (seconds) on the iteration time of one
 /// multi-wafer point: the shared [`pipeline_floor`] of its cached stage
 /// profiles — TP collectives priced by the evaluator's own formula,
@@ -465,10 +442,19 @@ fn node_lower_bound(
         geo.n_mb,
         wafer,
     );
+    let dp = geo.parallel.dp;
     Some(
         floor
-            + node_dp_allreduce_time(wafer, job, plan.tp, plan.pp, geo.parallel.dp, cache)
-                .as_secs(),
+            + dp_allreduce_time(
+                cache,
+                CollectiveAlgo::RingBi,
+                wafer,
+                job,
+                plan.tp,
+                plan.pp,
+                dp,
+            )
+            .as_secs(),
     )
 }
 
@@ -496,85 +482,90 @@ fn stage_map_family(pp: usize, groups: usize, filter: &PlanFilter) -> Vec<(Stage
     family
 }
 
-/// The node leg of [`search_leg`] (driven by [`crate::Explorer`]).
-///
-/// The baseline plan space — intra-wafer TP degrees that embed in one
-/// wafer, PP in multiples of the wafer count with balanced stage maps,
-/// every strategy in `opts.strategies` — is exactly the seed-era
-/// `TP × PP × strategy` sweep, minus the points that strand more than
-/// half the node. `opts.plans` enlarges it: cross-wafer TP adds a
-/// `tp_span` axis over the divisors of the wafer count (per-wafer
-/// degrees scaled by the span), and uneven stage maps add every PP plus
-/// the remainder-shift family of explicit maps. With the
-/// `node_placement` knob on, every evaluated plan gets the node-level
-/// Alg. 3 pass (seeded by `opts.seed`, so the sweep stays a pure
-/// deterministic function of its inputs); the bound is unchanged — the
-/// refined schedule still dominates it, see [`node_lower_bound`].
+/// The node leg's work list: the baseline plan space — intra-wafer TP
+/// degrees that embed in one wafer, PP in multiples of the wafer count
+/// with balanced stage maps, every strategy in `opts.strategies` — is
+/// exactly the seed-era `TP × PP × strategy` sweep, minus the points
+/// that strand more than half the node. `opts.plans` enlarges it:
+/// cross-wafer TP adds a `tp_span` axis over the divisors of the wafer
+/// count (per-wafer degrees scaled by the span), and uneven stage maps
+/// add every PP plus the remainder-shift family of explicit maps.
+fn node_work_list(
+    node: &MultiWaferConfig,
+    job: &TrainingJob,
+    opts: &SchedulerOptions,
+) -> Vec<WorkItem> {
+    let dies = node.total_dies();
+    let wafers = node.wafers.max(1);
+    // TP spans to explore: intra-wafer always; with cross-wafer TP
+    // enabled, every divisor of the wafer count (TP groups span whole
+    // wafers and wafer groups partition the node).
+    let spans =
+        (1..=wafers).filter(|&k| k == 1 || (opts.plans.cross_wafer_tp && wafers.is_multiple_of(k)));
+    let mut items = Vec::new();
+    for span in spans {
+        let groups = wafers / span;
+        // Balanced-only sweeps keep PP in multiples of the group count
+        // (the seed-era shape); uneven maps open up every PP.
+        let step = if opts.plans.uneven_stage_maps {
+            1
+        } else {
+            groups
+        };
+        for tp_local in tp_candidates(&node.wafer, opts) {
+            let tp = tp_local * span;
+            let max_pp = (dies / tp.max(1)).min(job.model.layers);
+            for pp in (step..=max_pp).step_by(step) {
+                // Skip configurations that strand more than half the node.
+                if tp * pp < dies / 2 {
+                    continue;
+                }
+                for (map, variant) in stage_map_family(pp, groups, &opts.plans) {
+                    // Unique per (tp, pp, sidx): spans collide on `tp`
+                    // (intra TP=4 vs 2×2 cross TP=4), so the span joins
+                    // the variant in the key. Lower spans and the
+                    // balanced map win ties.
+                    let pidx = span * (wafers + 1) + variant;
+                    for (sidx, &strategy) in opts.strategies.iter().enumerate() {
+                        items.push(WorkItem {
+                            plan: ParallelPlan {
+                                dp: 0,
+                                tp,
+                                pp,
+                                strategy,
+                                stage_map: map.clone(),
+                                tp_span: span,
+                            },
+                            sidx,
+                            pidx,
+                        });
+                    }
+                }
+            }
+        }
+    }
+    items
+}
+
+/// The node leg of [`search_leg`] (driven by [`crate::Explorer`]) over
+/// [`node_work_list`]. With the `node_placement` knob on, every
+/// evaluated plan gets the node-level Alg. 3 pass (seeded by
+/// `opts.seed`, so the sweep stays a pure deterministic function of its
+/// inputs); the bound is unchanged — the refined schedule still
+/// dominates it, see [`node_lower_bound`].
 pub(crate) fn explore_multi_wafer_impl(
     node: &MultiWaferConfig,
     job: &TrainingJob,
     opts: &SchedulerOptions,
     ctx: &SessionCtx<'_>,
-) -> LegOutcome<MultiWaferReport> {
-    let dies = node.total_dies();
-    let wafers = node.wafers.max(1);
-    let work_list = || {
-        // TP spans to explore: intra-wafer always; with cross-wafer TP
-        // enabled, every divisor of the wafer count (TP groups span whole
-        // wafers and wafer groups partition the node).
-        let spans = (1..=wafers)
-            .filter(|&k| k == 1 || (opts.plans.cross_wafer_tp && wafers.is_multiple_of(k)));
-        let mut items = Vec::new();
-        for span in spans {
-            let groups = wafers / span;
-            // Balanced-only sweeps keep PP in multiples of the group count
-            // (the seed-era shape); uneven maps open up every PP.
-            let step = if opts.plans.uneven_stage_maps {
-                1
-            } else {
-                groups
-            };
-            for tp_local in tp_candidates(&node.wafer, opts) {
-                let tp = tp_local * span;
-                let max_pp = (dies / tp.max(1)).min(job.model.layers);
-                for pp in (step..=max_pp).step_by(step) {
-                    // Skip configurations that strand more than half the node.
-                    if tp * pp < dies / 2 {
-                        continue;
-                    }
-                    for (map, variant) in stage_map_family(pp, groups, &opts.plans) {
-                        // Unique per (tp, pp, sidx): spans collide on `tp`
-                        // (intra TP=4 vs 2×2 cross TP=4), so the span joins
-                        // the variant in the key. Lower spans and the
-                        // balanced map win ties.
-                        let pidx = span * (wafers + 1) + variant;
-                        for (sidx, &strategy) in opts.strategies.iter().enumerate() {
-                            items.push(WorkItem {
-                                plan: ParallelPlan {
-                                    dp: 0,
-                                    tp,
-                                    pp,
-                                    strategy,
-                                    stage_map: map.clone(),
-                                    tp_span: span,
-                                },
-                                sidx,
-                                pidx,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        items
-    };
+) -> (WaveResult<MultiWaferReport>, ProfileCache) {
     search_leg(
         &node.wafer,
-        dies,
+        node.total_dies(),
         job,
         opts,
         ctx,
-        work_list,
+        || node_work_list(node, job, opts),
         |it, cache| node_lower_bound(node, job, &it.plan, cache),
         |it, cache| {
             let report = if opts.node_placement {
@@ -712,6 +703,7 @@ pub(crate) fn wafer_loss_sweep_impl(
 mod tests {
     use super::*;
     use wsc_arch::presets;
+    use wsc_arch::wafer::WaferConfig;
     use wsc_workload::parallel::TpSplitStrategy;
     use wsc_workload::zoo;
 
@@ -728,8 +720,8 @@ mod tests {
         node: &MultiWaferConfig,
         job: &TrainingJob,
         opts: &SchedulerOptions,
-    ) -> LegOutcome<MultiWaferReport> {
-        explore_multi_wafer_impl(node, job, opts, &SessionCtx::none())
+    ) -> WaveResult<MultiWaferReport> {
+        explore_multi_wafer_impl(node, job, opts, &SessionCtx::default()).0
     }
 
     fn winner(
@@ -1184,6 +1176,149 @@ mod tests {
         assert_eq!(
             p, p_slow,
             "W2W parameters must stay irrelevant at wafers=1 with placement on"
+        );
+    }
+
+    #[test]
+    fn memory_precheck_rejects_before_any_profile_is_built() {
+        // The guarantee every leg's bound and eval rests on: a plan that
+        // fails the Alg. 1 line 1–2 precheck gets `None` from each of
+        // them through `plan_geometry`, before a stage profile, a layer
+        // simulation or the serving model is touched.
+        use crate::scheduler::{memory_precheck_fails, schedule_plan_cached, SearchObjective};
+        use crate::serving::ServingModel;
+        use crate::ScheduledConfig;
+
+        /// A precheck-rejected plan must never reach the serving model.
+        struct Untouchable;
+        impl ServingModel for Untouchable {
+            fn name(&self) -> String {
+                "untouchable".into()
+            }
+            fn bound(
+                &self,
+                _: &WaferConfig,
+                _: &TrainingJob,
+                _: &ParallelPlan,
+                _: &ProfileCache,
+            ) -> Option<f64> {
+                panic!("serving bound consulted")
+            }
+            fn score(
+                &self,
+                _: &WaferConfig,
+                _: &TrainingJob,
+                _: &ScheduledConfig,
+                _: &ProfileCache,
+            ) -> f64 {
+                panic!("serving score consulted")
+            }
+        }
+
+        let node = presets::multi_wafer_18();
+        let wafer = &node.wafer;
+        let big = TrainingJob::standard(zoo::llama3_405b());
+        let small = TrainingJob::standard(zoo::llama2_30b());
+        let single = ParallelPlan::intra(4, 2, TpSplitStrategy::Megatron);
+        let spread = ParallelPlan::balanced(4, 4, TpSplitStrategy::Megatron, node.wafers);
+        // The memory precheck is what rejects these plans: the same
+        // geometry passes for a model that fits.
+        assert!(memory_precheck_fails(wafer, &big, 4, 2));
+        assert!(memory_precheck_fails(wafer, &big, 4, 4));
+        assert!(plan_geometry(wafer, 1, &small, &single).is_some());
+        assert!(plan_geometry(wafer, node.wafers, &small, &spread).is_some());
+
+        let opts = SchedulerOptions::default();
+        let serving = SearchObjective::Serving(std::sync::Arc::new(Untouchable));
+        let cache = ProfileCache::new();
+        assert_eq!(
+            SearchObjective::Clean.bound(wafer, &big, &single, &opts, &cache),
+            None
+        );
+        assert_eq!(serving.bound(wafer, &big, &single, &opts, &cache), None);
+        assert!(schedule_plan_cached(wafer, &big, &single, &opts, None, &cache).is_none());
+        assert_eq!(node_lower_bound(&node, &big, &spread, &cache), None);
+        assert!(evaluate_multi_wafer_plan_cached(&node, &big, &spread, &cache).is_none());
+        assert!(evaluate_multi_wafer_plan_placed(&node, &big, &spread, &cache, 7).is_none());
+        assert_eq!(cache.stage_entries(), 0);
+        assert_eq!(cache.layer_entries(), 0);
+    }
+
+    #[test]
+    fn node_work_list_resolves_to_dp_at_most_two() {
+        // The stranding filter `tp · pp ≥ dies / 2` caps the resolved DP
+        // at 2 ≤ nx, so the node's DP all-reduce group always has one
+        // row: pricing it on the single-wafer `⌈dp / nx⌉` shape changes
+        // no search result.
+        let node = presets::multi_wafer_18();
+        let mut accepted = 0usize;
+        for model in [
+            zoo::llama_7b(),
+            zoo::llama2_30b(),
+            zoo::llama3_70b(),
+            zoo::gpt_175b(),
+            zoo::llama3_405b(),
+        ] {
+            let job = TrainingJob::standard(model);
+            for allow_odd_tp in [false, true] {
+                let opts = SchedulerOptions {
+                    plans: PlanFilter::all(),
+                    allow_odd_tp,
+                    ..SchedulerOptions::default()
+                };
+                for it in node_work_list(&node, &job, &opts) {
+                    if let Some(geo) = plan_geometry(&node.wafer, node.wafers, &job, &it.plan) {
+                        assert!(geo.parallel.dp <= 2, "{} resolves dp > 2", it.plan);
+                        accepted += 1;
+                    }
+                }
+            }
+        }
+        assert!(node.wafer.nx >= 2);
+        assert!(accepted > 100, "only {accepted} plans resolved");
+    }
+
+    #[test]
+    fn node_dp_above_nx_pays_the_two_dimensional_group() {
+        // Directly evaluated, a node plan can pin `dp > nx`. With 16
+        // sequences per iteration, dp = 7 and dp = 8 both run 2
+        // micro-batches over identical stages, so their iterations differ
+        // only in the DP all-reduce: a 7 × 1 ring for dp = 7 and a
+        // 7 × ⌈8 / 7⌉ = 7 × 2 group for dp = 8.
+        use wsc_mesh::collective::all_reduce_time;
+        let node = presets::multi_wafer_18();
+        let wafer = &node.wafer;
+        assert_eq!(wafer.nx, 7);
+        let model = zoo::llama_7b();
+        let seq = model.default_seq;
+        let job = TrainingJob::with_batch(model, 16, 1, seq);
+        let plan = ParallelPlan::balanced(1, 4, TpSplitStrategy::Megatron, node.wafers);
+        let cache = ProfileCache::new();
+        let iteration = |dp: usize| {
+            let r =
+                evaluate_multi_wafer_plan_cached(&node, &job, &plan.clone().with_dp(dp), &cache)
+                    .expect("fits");
+            assert_eq!(r.parallel.dp, dp);
+            r.iteration.as_secs()
+        };
+        let (t7, t8) = (iteration(7), iteration(8));
+        let grads = Bytes::new((job.model.total_params() * 2.0 / 4.0) as u64);
+        let ring = |rows: usize| {
+            all_reduce_time(
+                CollectiveAlgo::RingBi,
+                GroupShape::new(7, rows),
+                grads,
+                wafer.d2d_link_bw(),
+                wafer.d2d_link_latency,
+            )
+            .as_secs()
+        };
+        let expected = ring(2) - ring(1);
+        assert!(expected != 0.0);
+        assert!(
+            ((t8 - t7) - expected).abs() <= 1e-9 * t8,
+            "dp 7 → 8 adds {} s, the 7 × 2 group adds {expected} s",
+            t8 - t7
         );
     }
 }

@@ -12,13 +12,14 @@
 //! One driver, `search_leg`, runs this sweep for a single wafer — a
 //! one-wafer node — and for a §VI-F multi-wafer node
 //! ([`crate::multiwafer`]); `plan_geometry` derives what a plan means
-//! on either. On the shared bounded wave engine (`crate::wave`) the
-//! line 1–2 memory precheck decides points before any profile is
-//! built, the survivors are sorted by an analytic lower bound (compute
-//! plus ideal collective time, from cached stage profiles) and
-//! evaluated in deterministic ramped waves, and the incumbent best
-//! prunes the bound-ordered tail. Winner and [`SearchStats`] are
-//! byte-identical across thread counts and vs the exhaustive sweep.
+//! on either, and its line 1–2 memory precheck rejects a point before
+//! any profile is built. On the shared bounded wave engine
+//! (`crate::wave`) the points are sorted by an analytic lower bound
+//! (compute plus ideal collective time, from cached stage profiles) and
+//! evaluated in deterministic ramped waves, each candidate carrying the
+//! score it competes on, and the incumbent best prunes the bound-ordered
+//! tail. Winner and [`SearchStats`] are byte-identical across thread
+//! counts and vs the exhaustive sweep.
 
 use crate::cache::ProfileCache;
 use crate::costmodel::PlacementCostModel;
@@ -29,7 +30,7 @@ use crate::goodput::{ensemble_effective_secs_within, FaultAwareSpec};
 use crate::placement::{self, PairDemand, Placement};
 use crate::serving::ServingModel;
 use crate::stage::{boundary_bytes, StageProfile};
-use crate::wave::{bounded_search, CandidateFailure, Outcome, SessionCtx, WaveResult, WorkItem};
+use crate::wave::{bounded_search, Outcome, SessionCtx, WaveResult, WorkItem};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -249,10 +250,10 @@ pub(crate) fn tp_candidates(wafer: &WaferConfig, opts: &SchedulerOptions) -> Vec
 
 /// The Alg. 1 line 1–2 aggregate-memory precheck: true when `modelP`
 /// split over a `tp × pp` group cannot fit that group's aggregate DRAM
-/// (per-die share vs per-die capacity). The single authority for every
-/// precheck site — the geometry derivations AND the work-list `decided`
-/// masks of both search engines — so the "skip without profiling"
-/// short-circuit can never disagree with what the evaluators reject.
+/// (per-die share vs per-die capacity). Called from exactly two places:
+/// [`plan_geometry`], which every bound and evaluator of both legs runs
+/// first, so a failing plan is rejected before any profile is built; and
+/// [`search_leg`]'s early exit, which asks it once for the whole node.
 pub(crate) fn memory_precheck_fails(
     wafer: &WaferConfig,
     job: &TrainingJob,
@@ -292,7 +293,7 @@ pub(crate) struct PlanGeometry {
 /// per-die DRAM — independent of `tp_span`, which only moves the same
 /// dies across seams), no tile embedding, or more stages on one wafer
 /// than it has tile slots. The precheck runs *before* any stage profile
-/// is built, so memory-decided points cost nothing in either sweep mode.
+/// is built, so a plan that fails it costs nothing in either sweep mode.
 pub(crate) fn plan_geometry(
     wafer: &WaferConfig,
     wafers: usize,
@@ -514,7 +515,7 @@ pub fn schedule_plan_cached(
             grants,
             faults,
             options: options.clone(),
-            cache: Some(cache),
+            cache,
         })
     };
     let base_report = eval_with(&placement, &rplan, &grants);
@@ -562,24 +563,6 @@ pub fn schedule_plan_cached(
     })
 }
 
-/// Outcome of one search leg — a single wafer's Alg. 1 sweep or a
-/// node's §VI-F sweep, both run by [`search_leg`].
-#[derive(Debug)]
-pub(crate) struct LegOutcome<C> {
-    /// Best feasible candidate, with the score it won on.
-    pub best: Option<(C, f64)>,
-    /// How much of the space was scheduled vs pruned.
-    pub stats: SearchStats,
-    /// Whether the search ran to completion or its budget truncated it.
-    pub outcome: Outcome,
-    /// Candidates whose evaluation panicked (isolated, never winners).
-    pub failures: Vec<CandidateFailure>,
-    /// The leg's own profile cache, handed back so downstream sweeps
-    /// (fault sweeps, ensemble scoring, baselines) reuse the winner's
-    /// stage profiles instead of rebuilding them from scratch.
-    pub cache: ProfileCache,
-}
-
 /// The one search driver behind both legs of an [`crate::Explorer`]
 /// session: the Alg. 1 `TP × PP × strategy` sweep, in which a single
 /// wafer is a one-wafer node and a §VI-F multi-wafer node is `dies`
@@ -590,26 +573,37 @@ pub(crate) struct LegOutcome<C> {
 /// * the node-level Alg. 1 line 1–2 early exit — when `modelP` cannot
 ///   fit even spread over all `dies`, no plan can, and the leg returns
 ///   empty stats without enumerating anything;
-/// * the work-list's `decided` mask: the per-plan aggregate-memory
-///   precheck ([`memory_precheck_fails`]) decides points without
-///   building a stage profile, in the pruned and the exhaustive mode;
 /// * the leg's [`ProfileCache`], built through the injection harness
 ///   when one is armed, and the generation tag its checkpoints carry;
+///   it is handed back beside the result so downstream sweeps (fault
+///   sweeps, ensemble scoring, baselines) reuse the winner's stage
+///   profiles instead of rebuilding them;
 /// * the bound-ordered wave search (`bounded_search`), honoring
 ///   `opts.prune` and `opts.sequential`.
 ///
 /// Each leg brings only what really differs: its `work_list`
 /// enumeration and its `bound` and `eval` closures (`eval` returns the
-/// candidate with the score it competes on). Kept apart on purpose —
-/// merging any of these changes results or pinned winners:
+/// candidate with the score it competes on). Both closures start with
+/// [`plan_geometry`], so a plan that fails the per-plan memory precheck
+/// gets `None` before any stage profile is built: the pruned mode
+/// counts it as pruned, the exhaustive mode as evaluated. Kept apart on
+/// purpose — merging any of these changes results or pinned winners:
 ///
 /// | | single wafer ([`explore_impl`]) | node (`explore_multi_wafer_impl`) |
 /// |---|---|---|
 /// | evaluator | [`crate::evaluate`]: routed p2p, faults, optimizer step | `crate::multiwafer`'s 1F1B model with W2W seam p2p |
 /// | placement | [`placement::optimize`] + [`allocate`], GA refinement of the winner | [`placement::optimize_node`] + [`crate::allocate_node`] behind `node_placement` |
-/// | DP all-reduce group | `min(dp, nx) × ⌈dp / nx⌉` | `min(dp, nx) × 1` (differs once `dp > nx`) |
 /// | optimizer DRAM stream | charged (evaluator and bound) | not charged |
 /// | stranding filter | skip when `tp · pp · dp` < dies / 2, `dp` from the tile slots | skip when `tp · pp` < dies / 2 |
+///
+/// Both legs price the DP gradient all-reduce on the same
+/// `min(dp, nx) × ⌈dp / nx⌉` group ([`evaluator::dp_allreduce_time`]).
+/// On a node the search never reaches `dp > nx`: the stranding filter
+/// keeps `tp · pp ≥ dies / 2`, and [`plan_geometry`] resolves
+/// `dp ≤ slots_per_wafer / max_stages_per_wafer ≤ ⌊dies / (tp · pp)⌋ ≤ 2`
+/// (a wafer hosts at most `die_count · span / tp` tile slots and a
+/// wafer group at least `pp · span / wafers` stages), while every node
+/// wafer has `nx ≥ 2` — so the row count there is always 1.
 ///
 /// The result — winner *and* [`SearchStats`] — is identical to the
 /// exhaustive sequential sweep (`prune: false, sequential: true`) up to
@@ -625,21 +619,17 @@ pub(crate) fn search_leg<C: Send>(
     work_list: impl FnOnce() -> Vec<WorkItem>,
     bound: impl Fn(&WorkItem, &ProfileCache) -> Option<f64> + Sync,
     eval: impl Fn(&WorkItem, &ProfileCache) -> Option<(C, f64)> + Sync,
-) -> LegOutcome<C> {
+) -> (WaveResult<C>, ProfileCache) {
     if memory_precheck_fails(wafer, job, dies, 1) {
-        return LegOutcome {
+        let empty = WaveResult {
             best: None,
             stats: SearchStats::default(),
             outcome: Outcome::Complete,
             failures: Vec::new(),
-            cache: ProfileCache::new(),
         };
+        return (empty, ProfileCache::new());
     }
     let items = work_list();
-    let decided: Vec<bool> = items
-        .iter()
-        .map(|it| memory_precheck_fails(wafer, job, it.plan.tp, it.plan.pp))
-        .collect();
     // An armed injection schedule builds its corrupted/poisoned cache
     // (test/bench-only); production runs take the plain memo.
     let cache = match ctx.inject {
@@ -652,28 +642,15 @@ pub(crate) fn search_leg<C: Send>(
         generation: Some(cache.generation_handle()),
         ..*ctx
     };
-    let WaveResult {
-        best,
-        stats,
-        outcome,
-        failures,
-    } = bounded_search(
+    let leg = bounded_search(
         &items,
-        &decided,
         opts.prune,
         opts.sequential,
         &ctx,
         |it| bound(it, &cache),
         |it| eval(it, &cache),
-        |(_, score)| *score,
     );
-    LegOutcome {
-        best,
-        stats,
-        outcome,
-        failures,
-        cache,
-    }
+    (leg, cache)
 }
 
 /// Analytic lower bound (seconds) on the iteration time any feasible
@@ -695,26 +672,18 @@ fn config_lower_bound(
     let stages = cache.stage_profiles(wafer, job, plan, geo.n_mb);
     let collective = choose_collective(opts, wafer, geo.shape, &stages[..], cache)?;
     let dp = geo.parallel.dp;
-    let bound = evaluator::pipeline_floor(
-        cache,
-        collective,
-        geo.shape,
-        None,
-        &stages[..],
-        geo.n_mb,
-        wafer,
-    ) + evaluator::dp_allreduce_time(
-        Some(cache),
-        collective,
-        wafer,
-        job,
-        plan.tp,
-        plan.pp,
-        dp,
-        dp.div_ceil(wafer.nx).max(1),
-    )
-    .as_secs()
-        + evaluator::optimizer_stream_time(&stages[..], wafer).as_secs();
+    let bound =
+        evaluator::pipeline_floor(
+            cache,
+            collective,
+            geo.shape,
+            None,
+            &stages[..],
+            geo.n_mb,
+            wafer,
+        ) + evaluator::dp_allreduce_time(cache, collective, wafer, job, plan.tp, plan.pp, dp)
+            .as_secs()
+            + evaluator::optimizer_stream_time(&stages[..], wafer).as_secs();
     Some(bound)
 }
 
@@ -813,7 +782,7 @@ pub(crate) fn explore_impl(
     opts: &SchedulerOptions,
     objective: &SearchObjective,
     ctx: &SessionCtx<'_>,
-) -> LegOutcome<ScheduledConfig> {
+) -> (WaveResult<ScheduledConfig>, ProfileCache) {
     let dies = wafer.die_count();
     let inner = SchedulerOptions {
         ga: None,
@@ -847,7 +816,7 @@ pub(crate) fn explore_impl(
     let score = |cfg: &ScheduledConfig, cache: &ProfileCache| {
         objective.score(wafer, job, cfg, cache, ctx.deadline)
     };
-    let mut leg = search_leg(
+    let (mut leg, cache) = search_leg(
         wafer,
         dies,
         job,
@@ -871,16 +840,16 @@ pub(crate) fn explore_impl(
     // is unbudgeted work, and anytime semantics promise best-so-far.
     if opts.ga.is_some() && leg.outcome == Outcome::Complete {
         if let Some((b, bscore)) = leg.best.take() {
-            let refined = schedule_plan_cached(wafer, job, &b.plan, opts, None, &leg.cache)
+            let refined = schedule_plan_cached(wafer, job, &b.plan, opts, None, &cache)
                 .map(|r| {
-                    let rscore = score(&r, &leg.cache);
+                    let rscore = score(&r, &cache);
                     (r, rscore)
                 })
                 .filter(|(_, rscore)| *rscore <= bscore);
             leg.best = Some(refined.unwrap_or((b, bscore)));
         }
     }
-    leg
+    (leg, cache)
 }
 
 /// Re-evaluate a scheduled configuration under faults (Fig. 22) or with
@@ -914,7 +883,7 @@ pub fn evaluate_scheduled_cached(
             punish: 4.0,
             robust,
         },
-        cache: Some(cache),
+        cache,
     })
 }
 
@@ -937,16 +906,17 @@ mod tests {
         job: &TrainingJob,
         opts: &SchedulerOptions,
         fault_aware: Option<&FaultAwareSpec>,
-    ) -> LegOutcome<ScheduledConfig> {
+    ) -> WaveResult<ScheduledConfig> {
         let objective = fault_aware.map_or(SearchObjective::Clean, |fa| {
             SearchObjective::FaultAware(fa.clone())
         });
-        explore_impl(wafer, job, opts, &objective, &SessionCtx::none())
+        explore_impl(wafer, job, opts, &objective, &SessionCtx::default()).0
     }
 
     /// The single-wafer plan geometry as the Alg. 1 leg derived it
-    /// before both legs shared [`plan_geometry`], kept verbatim as the
-    /// oracle of `one_wafer_geometry_matches_the_single_wafer_rules`.
+    /// before both legs shared [`plan_geometry`], kept as the oracle of
+    /// `one_wafer_geometry_matches_the_single_wafer_rules` (with the
+    /// line 1–2 memory precheck spelled out).
     fn single_wafer_geometry_oracle(
         wafer: &WaferConfig,
         job: &TrainingJob,
@@ -959,7 +929,7 @@ mod tests {
         if plan.tp_span != 1 || plan.stage_map.wafer_count() != 1 {
             return None;
         }
-        if memory_precheck_fails(wafer, job, tp, pp) {
+        if model_p_total(&job.model).as_f64() / (tp * pp) as f64 > wafer.dram.capacity.as_f64() {
             return None;
         }
         let (tile_w, tile_h) = placement::choose_tile(wafer.nx, wafer.ny, tp, pp)?;

@@ -7,19 +7,25 @@
 //! into a work-list, compute an analytic lower bound per point, sort by
 //! bound, and evaluate in deterministic parallel waves, letting the
 //! incumbent best prune every remaining point whose bound it beats.
-//! This module owns that shape once, so no leg can drift on
-//! determinism or pruning semantics:
+//! This module owns that shape once, behind one entry point,
+//! `bounded_search`: a leg hands it a `bound` and an `eval` that returns
+//! each candidate with the score it competes on, and the engine ranks on
+//! that score. Statically infeasible points (the memory precheck among
+//! them) are whatever `bound` or `eval` rejects; the engine has no
+//! precheck of its own. So no leg can drift on determinism or pruning
+//! semantics:
 //!
 //! * **Determinism.** Pruning decisions consult only the incumbent from
 //!   *completed* waves, wave boundaries are fixed (independent of the
 //!   thread count and the machine), and ties are resolved by the
-//!   smallest `(tp, pp, strategy index)` key — so the winner *and* the
-//!   [`SearchStats`] counters are byte-identical across thread counts
-//!   and identical to the exhaustive sequential sweep (modulo the
-//!   counters, which legitimately differ when pruning is disabled).
+//!   smallest [`PlanKey`] `(tp, pp, strategy index, plan-family index)`
+//!   — so the winner *and* the [`SearchStats`] counters are
+//!   byte-identical across thread counts and identical to the
+//!   exhaustive sequential sweep (modulo the counters, which
+//!   legitimately differ when pruning is disabled).
 //! * **Soundness.** A point is pruned only when its bound *strictly*
-//!   exceeds the incumbent iteration time; a point whose bound equals
-//!   the incumbent could still tie and win on the key, so it is never
+//!   exceeds the incumbent's score; a point whose bound equals the
+//!   incumbent could still tie and win on the key, so it is never
 //!   pruned.
 //! * **Ramped waves.** Wave widths ramp `1, 2, 4, 8, 16, 16, …`
 //!   ([`SEARCH_WAVE`] caps the width). The first wave used to evaluate
@@ -78,8 +84,9 @@ pub struct SearchStats {
     /// Points sent through the evaluation path. In the pruned mode these
     /// are fully scheduled; in the exhaustive mode (`prune: false`,
     /// where by definition nothing may be skipped) the count also
-    /// includes memory-precheck-decided points, which return infeasible
-    /// from the evaluation path without ever being profiled.
+    /// includes statically infeasible points (the memory precheck among
+    /// them), which return infeasible from the evaluation path without
+    /// ever being profiled.
     pub evaluated: usize,
     /// Points never examined because a [`SearchBudget`] truncated the
     /// search first. Always zero on a [`Outcome::Complete`] run.
@@ -143,11 +150,6 @@ impl SearchBudget {
         self.max_pruned_ratio = Some(ratio);
         self
     }
-
-    /// Whether any limit is set.
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.max_evaluations.is_some() || self.max_pruned_ratio.is_some()
-    }
 }
 
 /// Which [`SearchBudget`] limit truncated a search.
@@ -198,12 +200,6 @@ pub struct PlanKey {
     pub sidx: usize,
     /// Plan-family index (span/stage-map variant).
     pub pidx: usize,
-}
-
-impl From<(usize, usize, usize, usize)> for PlanKey {
-    fn from((tp, pp, sidx, pidx): (usize, usize, usize, usize)) -> Self {
-        PlanKey { tp, pp, sidx, pidx }
-    }
 }
 
 /// One candidate whose evaluation panicked, converted into data by the
@@ -259,8 +255,8 @@ pub struct WaveCheckpoint {
 /// Per-search session context threaded from the `Explorer` facade down
 /// into the wave loop: the (already-resolved) deadline, deterministic
 /// budget limits, the optional fault-injection schedule, checkpoint
-/// cadence/sink, and the checkpoint to resume from. `SessionCtx::none()`
-/// is the seed-era behavior.
+/// cadence/sink, and the checkpoint to resume from. The default is the
+/// seed-era behavior: no budget, no injection, no checkpointing.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct SessionCtx<'a> {
     /// Absolute wall-clock deadline (resolved once per `Explorer` run,
@@ -283,13 +279,6 @@ pub(crate) struct SessionCtx<'a> {
     pub resume: Option<&'a WaveCheckpoint>,
 }
 
-impl SessionCtx<'_> {
-    /// No budget, no injection, no checkpointing — the seed-era engine.
-    pub fn none() -> Self {
-        SessionCtx::default()
-    }
-}
-
 /// Receiver of per-wave checkpoints (implemented by the `Explorer`
 /// facade, which wraps each [`WaveCheckpoint`] into a session-level
 /// `SearchCheckpoint` before handing it to the user's sink).
@@ -298,12 +287,14 @@ pub(crate) trait WaveSink: Sync {
     fn emit(&self, checkpoint: &WaveCheckpoint);
 }
 
-/// What one bounded search hands back: the winner, the counters, the
-/// completion outcome and the isolated candidate failures.
+/// What one bounded search — one search leg — hands back: the winner
+/// with its score, the counters, the completion outcome and the
+/// isolated candidate failures.
 #[derive(Debug)]
 pub(crate) struct WaveResult<C> {
-    /// Best feasible candidate (never a failed one), if any.
-    pub best: Option<C>,
+    /// Best feasible candidate (never a failed one) with the score it
+    /// won on, if any.
+    pub best: Option<(C, f64)>,
     /// Honest counters (`visited = pruned + evaluated + skipped`).
     pub stats: SearchStats,
     /// Complete, or which budget limit truncated the leg.
@@ -334,8 +325,13 @@ impl WorkItem {
     /// in which order the points were evaluated. Keys must be unique per
     /// work-list — equal keys would let the winner depend on bound
     /// order.
-    pub fn key(&self) -> (usize, usize, usize, usize) {
-        (self.plan.tp, self.plan.pp, self.sidx, self.pidx)
+    pub fn key(&self) -> PlanKey {
+        PlanKey {
+            tp: self.plan.tp,
+            pp: self.plan.pp,
+            sidx: self.sidx,
+            pidx: self.pidx,
+        }
     }
 }
 
@@ -374,79 +370,33 @@ fn panic_payload(e: Box<dyn Any + Send>) -> String {
 /// wave loop, with the prune/short-circuit semantics held in one place
 /// for every caller.
 ///
-/// `decided[i]` marks points the caller's static precheck alone decides
-/// (e.g. Alg. 1 line 1–2 aggregate memory): they are never handed to
-/// `bound` or `eval`, so they cost nothing in either sweep mode — in the
-/// pruned mode they count as pruned, in the exhaustive mode they flow
-/// through the (skipped) evaluation path and count as evaluated, since
-/// an exhaustive sweep by definition skips nothing. With `prune` set,
-/// `bound` computes an analytic lower bound per surviving point (`None`
-/// = statically infeasible, counted as pruned); with it unset, every
-/// point gets a `-inf` bound and the wave loop degenerates to the
-/// exhaustive sweep. `eval` runs the full scheduler on one point;
-/// `score` extracts the iteration time the incumbent competes on. `ctx`
+/// With `prune` set, `bound` computes an analytic lower bound per point
+/// (`None` = statically infeasible: counted as pruned, never
+/// evaluated); with it unset, every point gets a `-inf` bound and the
+/// wave loop degenerates to the exhaustive sweep, in which a statically
+/// infeasible point reaches `eval`, gets `None` back and counts as
+/// evaluated, since an exhaustive sweep by definition skips nothing.
+/// `eval` runs the full scheduler on one point and returns the
+/// candidate with the score it competes on (lower wins); it runs inside
+/// a `catch_unwind` guard, so a panicking candidate is recorded as a
+/// [`CandidateFailure`] instead of unwinding out of the search. `ctx`
 /// carries the resilience layer (budget, injection, checkpointing,
-/// resume); pass [`SessionCtx::none`] for the seed-era behavior.
-/// Returns the winner (smallest score, ties to the smallest
+/// resume); pass `SessionCtx::default()` for the seed-era behavior.
+/// Returns the winner with its score (ties to the smallest
 /// [`WorkItem::key`]) plus stats, outcome and any isolated failures.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn bounded_search<C: Send>(
     items: &[WorkItem],
-    decided: &[bool],
     prune: bool,
     sequential: bool,
     ctx: &SessionCtx<'_>,
     bound: impl Fn(&WorkItem) -> Option<f64> + Sync,
-    eval: impl Fn(&WorkItem) -> Option<C> + Sync,
-    score: impl Fn(&C) -> f64,
+    eval: impl Fn(&WorkItem) -> Option<(C, f64)> + Sync,
 ) -> WaveResult<C> {
-    debug_assert_eq!(items.len(), decided.len());
-    let idxs: Vec<usize> = (0..items.len()).collect();
     let bounds: Vec<Option<f64>> = if prune {
-        run_items(&idxs, sequential, |&i| {
-            if decided[i] {
-                None
-            } else {
-                bound(&items[i])
-            }
-        })
+        run_items(items, sequential, &bound)
     } else {
         vec![Some(f64::NEG_INFINITY); items.len()]
     };
-    wave_search(
-        items,
-        &bounds,
-        sequential,
-        ctx,
-        |i, it| {
-            if decided[i] {
-                return None;
-            }
-            eval(it)
-        },
-        score,
-    )
-}
-
-/// The bound-ordered wave loop behind [`bounded_search`].
-///
-/// `bounds[i]` is the analytic lower bound of `items[i]`; `None` marks a
-/// statically infeasible point (it is counted as pruned and never
-/// evaluated). `eval` receives the work-list index alongside the item so
-/// the wrapper can consult per-point side tables; it runs inside a
-/// `catch_unwind` guard, so a panicking candidate is recorded as a
-/// [`CandidateFailure`] instead of unwinding out of the search. Returns
-/// the winner (smallest score, ties to the smallest [`WorkItem::key`])
-/// plus the [`SearchStats`], the [`Outcome`] and the failure log.
-fn wave_search<C: Send>(
-    items: &[WorkItem],
-    bounds: &[Option<f64>],
-    sequential: bool,
-    ctx: &SessionCtx<'_>,
-    eval: impl Fn(usize, &WorkItem) -> Option<C> + Sync,
-    score: impl Fn(&C) -> f64,
-) -> WaveResult<C> {
-    debug_assert_eq!(items.len(), bounds.len());
     // Pair each surviving index with its bound up front: past this point
     // the bounds are plain `f64`s — no later lookup can miss, and
     // `total_cmp` makes the sort total without a panicking unwrap.
@@ -465,20 +415,20 @@ fn wave_search<C: Send>(
     // here: the only state shared across the boundary is the memo
     // caches, whose poison recovery clears any shard a panicking holder
     // left behind (`crate::cache`).
-    let guarded = |i: usize| -> Result<Option<C>, String> {
+    let guarded = |i: usize| -> Result<Option<(C, f64)>, String> {
         catch_unwind(AssertUnwindSafe(|| {
             if let Some(inj) = ctx.inject {
                 inj.apply(items[i].key());
             }
-            eval(i, &items[i])
+            eval(&items[i])
         }))
         .map_err(panic_payload)
     };
 
     let mut stats;
     let mut failures: Vec<CandidateFailure>;
-    let mut best: Option<C> = None;
-    let mut best_key = (usize::MAX, usize::MAX, usize::MAX, usize::MAX);
+    // The incumbent: candidate, score and tie-break key.
+    let mut best: Option<(C, f64, PlanKey)> = None;
     let mut idx;
     let mut wave_no;
     if let Some(cp) = ctx.resume {
@@ -494,10 +444,9 @@ fn wave_search<C: Send>(
         idx = cp.cursor.min(order.len());
         wave_no = cp.wave_no;
         if let Some(k) = cp.best_key {
-            if let Some(i) = (0..items.len()).find(|&i| PlanKey::from(items[i].key()) == k) {
-                if let Ok(Some(c)) = guarded(i) {
-                    best_key = items[i].key();
-                    best = Some(c);
+            if let Some(i) = (0..items.len()).find(|&i| items[i].key() == k) {
+                if let Ok(Some((c, s))) = guarded(i) {
+                    best = Some((c, s, k));
                 }
             }
         }
@@ -520,9 +469,8 @@ fn wave_search<C: Send>(
         // key, so it is never pruned. Checked before the budget: a
         // search that would finish at this boundary anyway reports
         // `Complete` even with an expired budget.
-        if let Some(b) = &best {
-            let incumbent = score(b);
-            let survivors = order[idx..].partition_point(|&(_, b)| b <= incumbent);
+        if let Some((_, incumbent, _)) = &best {
+            let survivors = order[idx..].partition_point(|&(_, b)| b <= *incumbent);
             if survivors == 0 {
                 stats.pruned += order.len() - idx;
                 break;
@@ -553,9 +501,7 @@ fn wave_search<C: Send>(
             // tail: a resumed run continues over that tail, so the
             // checkpoint must not pre-count it.
             if let Some(sink) = ctx.sink {
-                sink.emit(&checkpoint_at(
-                    idx, wave_no, stats, best_key, &best, &failures, ctx, &score,
-                ));
+                sink.emit(&checkpoint_at(idx, wave_no, stats, &best, &failures, ctx));
             }
             stats.skipped += order.len() - idx;
             outcome = Outcome::Truncated { reason };
@@ -566,17 +512,15 @@ fn wave_search<C: Send>(
         let wave_end = order.len().min(idx + width);
         let wave: Vec<usize> = order[idx..wave_end]
             .iter()
-            .filter(|&&(_, b)| match &best {
-                Some(best) => b <= score(best),
-                None => true,
-            })
+            .filter(|&&(_, b)| best.as_ref().is_none_or(|(_, s, _)| b <= *s))
             .map(|&(i, _)| i)
             .collect();
         stats.pruned += (wave_end - idx) - wave.len();
         stats.evaluated += wave.len();
-        let results: Vec<Result<Option<C>, String>> = run_items(&wave, sequential, |&i| guarded(i));
+        let results: Vec<Result<Option<(C, f64)>, String>> =
+            run_items(&wave, sequential, |&i| guarded(i));
         for (&i, res) in wave.iter().zip(results) {
-            let cfg = match res {
+            let (cand, s) = match res {
                 Err(payload) => {
                     // Isolated panic: record it (deterministic order —
                     // the result vector is in wave order) and move on. A
@@ -589,57 +533,47 @@ fn wave_search<C: Send>(
                     continue;
                 }
                 Ok(None) => continue,
-                Ok(Some(cfg)) => cfg,
+                Ok(Some(scored)) => scored,
             };
             let key = items[i].key();
-            let s = score(&cfg);
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    let bs = score(b);
-                    s < bs || (s == bs && key < best_key)
-                }
-            };
+            let better = best
+                .as_ref()
+                .is_none_or(|&(_, bs, bk)| s < bs || (s == bs && key < bk));
             if better {
-                best = Some(cfg);
-                best_key = key;
+                best = Some((cand, s, key));
             }
         }
         idx = wave_end;
         if let (Some(every), Some(sink)) = (ctx.checkpoint_every, ctx.sink) {
             if every > 0 && (wave_no as usize).is_multiple_of(every) {
-                sink.emit(&checkpoint_at(
-                    idx, wave_no, stats, best_key, &best, &failures, ctx, &score,
-                ));
+                sink.emit(&checkpoint_at(idx, wave_no, stats, &best, &failures, ctx));
             }
         }
     }
     WaveResult {
-        best,
+        best: best.map(|(c, s, _)| (c, s)),
         stats,
         outcome,
         failures,
     }
 }
 
-/// Assemble the snapshot of the loop state for the sink.
-#[allow(clippy::too_many_arguments)]
+/// Assemble the snapshot of the loop state for the sink; `best` is the
+/// incumbent with its score and key.
 fn checkpoint_at<C>(
     cursor: usize,
     wave_no: u32,
     stats: SearchStats,
-    best_key: (usize, usize, usize, usize),
-    best: &Option<C>,
+    best: &Option<(C, f64, PlanKey)>,
     failures: &[CandidateFailure],
     ctx: &SessionCtx<'_>,
-    score: &impl Fn(&C) -> f64,
 ) -> WaveCheckpoint {
     WaveCheckpoint {
         cursor,
         wave_no,
         stats,
-        best_key: best.as_ref().map(|_| PlanKey::from(best_key)),
-        best_score: best.as_ref().map(score),
+        best_key: best.as_ref().map(|&(_, _, k)| k),
+        best_score: best.as_ref().map(|&(_, s, _)| s),
         failures: failures.to_vec(),
         generation: ctx
             .generation
@@ -664,19 +598,38 @@ mod tests {
             .collect()
     }
 
+    /// The pruned engine over explicit per-point bounds (`items(n)` puts
+    /// point `i` at `tp = i`).
+    fn search<C: Send>(
+        its: &[WorkItem],
+        bounds: &[Option<f64>],
+        sequential: bool,
+        ctx: &SessionCtx<'_>,
+        eval: impl Fn(&WorkItem) -> Option<(C, f64)> + Sync,
+    ) -> WaveResult<C> {
+        bounded_search(its, true, sequential, ctx, |it| bounds[it.plan.tp], eval)
+    }
+
+    /// Score a point by its `tp`; the candidate is the score itself.
+    fn by_tp(it: &WorkItem) -> Option<(f64, f64)> {
+        let s = it.plan.tp as f64;
+        Some((s, s))
+    }
+
     #[test]
     fn exhaustive_mode_evaluates_everything() {
+        // With `prune` unset no bound is computed: every point gets a
+        // `-inf` bound and is evaluated.
         let its = items(40);
-        let bounds = vec![Some(f64::NEG_INFINITY); 40];
-        let r = wave_search(
+        let r = bounded_search(
             &its,
-            &bounds,
+            false,
             true,
-            &SessionCtx::none(),
-            |_, it| Some(it.plan.tp as f64),
-            |&c: &f64| c,
+            &SessionCtx::default(),
+            |_| unreachable!("the exhaustive mode computes no bound"),
+            by_tp,
         );
-        assert_eq!(r.best, Some(0.0));
+        assert_eq!(r.best, Some((0.0, 0.0)));
         assert_eq!(r.stats.visited, 40);
         assert_eq!(r.stats.pruned, 0);
         assert_eq!(r.stats.evaluated, 40);
@@ -691,15 +644,8 @@ mod tests {
         // exceeds the incumbent and the whole tail is pruned.
         let its = items(40);
         let bounds: Vec<Option<f64>> = (0..40).map(|i| Some(i as f64)).collect();
-        let r = wave_search(
-            &its,
-            &bounds,
-            true,
-            &SessionCtx::none(),
-            |_, it| Some(it.plan.tp as f64),
-            |&c: &f64| c,
-        );
-        assert_eq!(r.best, Some(0.0));
+        let r = search(&its, &bounds, true, &SessionCtx::default(), by_tp);
+        assert_eq!(r.best, Some((0.0, 0.0)));
         assert_eq!(r.stats.evaluated, 1, "ramp starts with a single point");
         assert_eq!(r.stats.pruned, 39);
         assert_eq!(r.stats.visited, r.stats.pruned + r.stats.evaluated);
@@ -710,15 +656,8 @@ mod tests {
     fn static_infeasible_points_count_as_pruned() {
         let its = items(4);
         let bounds = vec![Some(0.0), None, Some(1.0), None];
-        let r = wave_search(
-            &its,
-            &bounds,
-            true,
-            &SessionCtx::none(),
-            |_, it| Some(it.plan.tp as f64),
-            |&c: &f64| c,
-        );
-        assert_eq!(r.best, Some(0.0));
+        let r = search(&its, &bounds, true, &SessionCtx::default(), by_tp);
+        assert_eq!(r.best, Some((0.0, 0.0)));
         assert_eq!(r.stats.visited, 4);
         assert!(r.stats.pruned >= 2);
     }
@@ -730,77 +669,22 @@ mod tests {
         let mut its = items(8);
         its.reverse(); // work-list order is not key order
         let bounds = vec![Some(0.0); 8];
-        let r = wave_search(
-            &its,
-            &bounds,
-            true,
-            &SessionCtx::none(),
-            |_, it| Some((it.plan.tp, 7.0f64)),
-            |c: &(usize, f64)| c.1,
-        );
+        let r = search(&its, &bounds, true, &SessionCtx::default(), |it| {
+            Some((it.plan.tp, 7.0))
+        });
         assert_eq!(r.best.map(|b| b.0), Some(0), "smallest key wins the tie");
-    }
-
-    #[test]
-    fn decided_points_skip_both_phases_in_both_modes() {
-        // A precheck-decided point must reach neither the bound nor the
-        // eval closure, in the pruned and the exhaustive mode alike; it
-        // counts as pruned in the former and evaluated in the latter.
-        let its = items(6);
-        let decided = vec![false, true, false, true, false, true];
-        let bound = |it: &WorkItem| {
-            assert!(
-                it.plan.tp.is_multiple_of(2),
-                "decided point reached bound phase"
-            );
-            Some(it.plan.tp as f64)
-        };
-        let eval = |it: &WorkItem| {
-            assert!(
-                it.plan.tp.is_multiple_of(2),
-                "decided point reached eval phase"
-            );
-            Some(it.plan.tp as f64)
-        };
-        for prune in [true, false] {
-            let r = bounded_search(
-                &its,
-                &decided,
-                prune,
-                true,
-                &SessionCtx::none(),
-                bound,
-                eval,
-                |&c: &f64| c,
-            );
-            assert_eq!(r.best, Some(0.0));
-            assert_eq!(r.stats.visited, 6);
-            if prune {
-                assert!(r.stats.pruned >= 3, "decided points count as pruned");
-            } else {
-                assert_eq!(
-                    r.stats.evaluated, 6,
-                    "exhaustive mode skips nothing (by count)"
-                );
-                assert_eq!(r.stats.pruned, 0);
-            }
-        }
     }
 
     #[test]
     fn sequential_and_parallel_agree() {
         let its = items(50);
         let bounds: Vec<Option<f64>> = (0..50).map(|i| Some((i % 7) as f64)).collect();
-        let eval = |_: usize, it: &WorkItem| Some(((it.plan.tp * 13) % 11) as f64);
-        let seq = wave_search(&its, &bounds, true, &SessionCtx::none(), eval, |&c: &f64| c);
-        let par = wave_search(
-            &its,
-            &bounds,
-            false,
-            &SessionCtx::none(),
-            eval,
-            |&c: &f64| c,
-        );
+        let eval = |it: &WorkItem| {
+            let s = ((it.plan.tp * 13) % 11) as f64;
+            Some((s, s))
+        };
+        let seq = search(&its, &bounds, true, &SessionCtx::default(), eval);
+        let par = search(&its, &bounds, false, &SessionCtx::default(), eval);
         assert_eq!(seq.best, par.best);
         assert_eq!(seq.stats, par.stats);
         assert_eq!(seq.outcome, par.outcome);
@@ -818,16 +702,9 @@ mod tests {
         let bounds = vec![Some(f64::NEG_INFINITY); 40];
         let ctx = SessionCtx {
             max_evaluations: Some(5),
-            ..SessionCtx::none()
+            ..SessionCtx::default()
         };
-        let r = wave_search(
-            &its,
-            &bounds,
-            true,
-            &ctx,
-            |_, it| Some(it.plan.tp as f64),
-            |&c: &f64| c,
-        );
+        let r = search(&its, &bounds, true, &ctx, by_tp);
         assert_eq!(
             r.outcome,
             Outcome::Truncated {
@@ -840,7 +717,7 @@ mod tests {
             r.stats.visited,
             r.stats.pruned + r.stats.evaluated + r.stats.skipped
         );
-        assert_eq!(r.best, Some(0.0), "best-so-far survives truncation");
+        assert_eq!(r.best, Some((0.0, 0.0)), "best-so-far survives truncation");
     }
 
     #[test]
@@ -852,16 +729,9 @@ mod tests {
         let bounds: Vec<Option<f64>> = (0..100).map(|i| (i < 2).then_some(i as f64)).collect();
         let ctx = SessionCtx {
             max_pruned_ratio: Some(0.5),
-            ..SessionCtx::none()
+            ..SessionCtx::default()
         };
-        let r = wave_search(
-            &its,
-            &bounds,
-            true,
-            &ctx,
-            |_, it| Some(it.plan.tp as f64),
-            |&c: &f64| c,
-        );
+        let r = search(&its, &bounds, true, &ctx, by_tp);
         assert_eq!(
             r.outcome,
             Outcome::Truncated {
@@ -879,15 +749,19 @@ mod tests {
         // crown the runner-up, in sequential and parallel mode alike.
         let its = items(10);
         let bounds = vec![Some(f64::NEG_INFINITY); 10];
-        let eval = |_: usize, it: &WorkItem| {
+        let eval = |it: &WorkItem| {
             if it.plan.tp == 0 {
                 panic!("wsc-inject: best candidate blows up");
             }
-            Some(it.plan.tp as f64)
+            by_tp(it)
         };
         for sequential in [true, false] {
-            let r = wave_search(&its, &bounds, sequential, &SessionCtx::none(), eval, |&c| c);
-            assert_eq!(r.best, Some(1.0), "runner-up wins when the best panics");
+            let r = search(&its, &bounds, sequential, &SessionCtx::default(), eval);
+            assert_eq!(
+                r.best,
+                Some((1.0, 1.0)),
+                "runner-up wins when the best panics"
+            );
             assert_eq!(r.failures.len(), 1);
             assert_eq!(r.failures[0].plan.tp, 0);
             assert!(r.failures[0].payload.contains("wsc-inject"));
@@ -914,19 +788,20 @@ mod tests {
         // stats and failure log exactly.
         let its = items(60);
         let bounds: Vec<Option<f64>> = (0..60).map(|i| Some(((i * 7) % 23) as f64)).collect();
-        let eval = |_: usize, it: &WorkItem| {
+        let eval = |it: &WorkItem| {
             if it.plan.tp.is_multiple_of(17) && it.plan.tp > 0 {
                 panic!("wsc-inject: seeded failure");
             }
-            Some(((it.plan.tp * 13) % 29) as f64)
+            let s = ((it.plan.tp * 13) % 29) as f64;
+            Some((s, s))
         };
         let sink = Capture(Mutex::new(Vec::new()));
         let ctx = SessionCtx {
             checkpoint_every: Some(1),
             sink: Some(&sink),
-            ..SessionCtx::none()
+            ..SessionCtx::default()
         };
-        let full = wave_search(&its, &bounds, true, &ctx, eval, |&c| c);
+        let full = search(&its, &bounds, true, &ctx, eval);
         let cps = sink
             .0
             .lock()
@@ -937,16 +812,15 @@ mod tests {
             "at least one checkpoint per completed wave"
         );
         for cp in &cps {
-            let resumed = wave_search(
+            let resumed = search(
                 &its,
                 &bounds,
                 true,
                 &SessionCtx {
                     resume: Some(cp),
-                    ..SessionCtx::none()
+                    ..SessionCtx::default()
                 },
                 eval,
-                |&c| c,
             );
             assert_eq!(
                 resumed.best, full.best,
@@ -973,11 +847,14 @@ mod tests {
         // Scores sit strictly above every bound so the incumbent never
         // prunes the tail — the evaluation cap, not the pruner, must be
         // what ends the truncated run.
-        let eval = |_: usize, it: &WorkItem| Some((100 + (it.plan.tp * 5) % 17) as f64);
-        let uninterrupted = wave_search(&its, &bounds, true, &SessionCtx::none(), eval, |&c| c);
+        let eval = |it: &WorkItem| {
+            let s = (100 + (it.plan.tp * 5) % 17) as f64;
+            Some((s, s))
+        };
+        let uninterrupted = search(&its, &bounds, true, &SessionCtx::default(), eval);
 
         let sink = Capture(Mutex::new(Vec::new()));
-        let truncated = wave_search(
+        let truncated = search(
             &its,
             &bounds,
             true,
@@ -985,10 +862,9 @@ mod tests {
                 max_evaluations: Some(4),
                 checkpoint_every: Some(1),
                 sink: Some(&sink),
-                ..SessionCtx::none()
+                ..SessionCtx::default()
             },
             eval,
-            |&c| c,
         );
         assert!(truncated.outcome.is_truncated());
         let last = sink
@@ -1002,16 +878,15 @@ mod tests {
             last.stats.skipped, 0,
             "checkpoint must not pre-count the tail"
         );
-        let resumed = wave_search(
+        let resumed = search(
             &its,
             &bounds,
             true,
             &SessionCtx {
                 resume: Some(&last),
-                ..SessionCtx::none()
+                ..SessionCtx::default()
             },
             eval,
-            |&c| c,
         );
         assert_eq!(resumed.best, uninterrupted.best);
         assert_eq!(resumed.stats, uninterrupted.stats);

@@ -50,6 +50,28 @@ fn empty_strategy_list_is_rejected() {
 }
 
 #[test]
+fn zero_tp_candidate_is_rejected() {
+    // A zero degree would divide the single-wafer work list by zero; it
+    // must surface as a typed error before any leg runs, on either leg.
+    for single in [true, false] {
+        let builder = if single {
+            quick().wafer(presets::config(3))
+        } else {
+            quick().multi_wafer(presets::multi_wafer_18())
+        };
+        let err = builder
+            .options(watos::SchedulerOptions {
+                tp_candidates: Some(vec![4, 0]),
+                ga: None,
+                ..watos::SchedulerOptions::default()
+            })
+            .build()
+            .unwrap_err();
+        assert_eq!(err, ExplorationError::InvalidTpCandidate { tp: 0 });
+    }
+}
+
+#[test]
 fn invalid_batch_geometry_is_rejected() {
     let job = TrainingJob::with_batch(zoo::llama2_30b(), 16, 64, 4096);
     let err = Explorer::builder()
