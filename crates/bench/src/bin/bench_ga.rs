@@ -24,6 +24,7 @@
 use std::time::Instant;
 use watos::ga::{refine, refine_naive, GaResult};
 use watos::placement::{global_cost, optimize, optimize_naive};
+use wsc_arch::fault::FaultMap;
 use wsc_bench::util::{ga_refine_presets, ga_setup, hill_climb_preset};
 use wsc_workload::training::TrainingJob;
 
@@ -221,6 +222,7 @@ fn main() {
                 h.tile_h,
                 h.pp_volume,
                 &h.pairs,
+                &FaultMap::none(),
                 h.seed,
             )
             .expect("preset fits")
@@ -237,8 +239,8 @@ fn main() {
             )
             .expect("preset fits")
         });
-        let naive_cost = global_cost(&h.mesh, &naive_p, h.pp_volume, &h.pairs);
-        let inc_cost = global_cost(&h.mesh, &inc_p, h.pp_volume, &h.pairs);
+        let naive_cost = global_cost(&h.mesh, &naive_p, h.pp_volume, &h.pairs, &FaultMap::none());
+        let inc_cost = global_cost(&h.mesh, &inc_p, h.pp_volume, &h.pairs, &FaultMap::none());
         failed |= record(
             BenchEntry {
                 preset: h.name.to_string(),

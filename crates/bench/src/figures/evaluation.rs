@@ -8,6 +8,7 @@ use watos::placement::{global_cost, optimize, row_major, PairDemand};
 use watos::scheduler::{schedule_plan_cached, RecomputeMode, SchedulerOptions};
 use watos::Explorer;
 use watos::ProfileCache;
+use wsc_arch::fault::FaultMap;
 use wsc_arch::presets;
 use wsc_arch::units::Bandwidth;
 use wsc_baselines::analytic::estimate as analytic_estimate;
@@ -93,21 +94,23 @@ pub fn fig11(_quick: bool) -> String {
     ];
     let naive = row_major(8, 4, 8, 2, 2).expect("fits");
     let opt = optimize(&mesh, 8, 2, 2, 1.0, &pairs, 42).expect("fits");
+    let cost =
+        |p: &watos::placement::Placement| global_cost(&mesh, p, 1.0, &pairs, &FaultMap::none());
     let hops = |p: &watos::placement::Placement, s: usize, h: usize| p.stages[s].dist(&p.stages[h]);
     let mut t = TextTable::new(vec!["placement", "S1-S8 hops", "S2-S7 hops", "GlobalCost"]);
     t.row(vec![
         "left-to-right (Fig. 11a)".to_string(),
         f2(hops(&naive, 0, 7)),
         f2(hops(&naive, 1, 6)),
-        f2(global_cost(&mesh, &naive, 1.0, &pairs)),
+        f2(cost(&naive)),
     ]);
     t.row(vec![
         "location-aware (Fig. 11b)".to_string(),
         f2(hops(&opt, 0, 7)),
         f2(hops(&opt, 1, 6)),
-        f2(global_cost(&mesh, &opt, 1.0, &pairs)),
+        f2(cost(&opt)),
     ]);
-    let red = 1.0 - global_cost(&mesh, &opt, 1.0, &pairs) / global_cost(&mesh, &naive, 1.0, &pairs);
+    let red = 1.0 - cost(&opt) / cost(&naive);
     format!(
         "Fig. 11: spatial location-aware placement (paper: ~30% total-hop reduction)\n{}total-cost reduction: {:.0}%\n",
         t.render(),

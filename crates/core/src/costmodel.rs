@@ -1,29 +1,34 @@
 //! Incremental Eq. 2 placement-cost engine (§IV-C/§IV-D hot path).
 //!
 //! Every GA genome decode and every hill-climb swap candidate needs the
-//! Eq. 2 `GlobalCost` of a placement. The naive path
+//! Eq. 2 `GlobalCost` of a placement. The naive reference
 //! ([`crate::placement::global_cost`]) rebuilds the pipeline link
 //! `HashSet` and re-walks the XY route of every Sender→Helper pair from
 //! scratch per call — O(whole placement) with a hash insert per link. A
 //! [`PlacementCostModel`] makes the evaluation O(Δ):
 //!
-//! * the **slot-pair distance table** caches `Rect::dist` for every
-//!   ordered pair of tile slots;
+//! * the **slot-pair distance table** caches `Rect::dist` (or, built
+//!   [`PlacementCostModel::with_faults`], the degraded distance) for
+//!   every ordered pair of tile slots;
 //! * **path-link fragments** memoize `path_links(xy_path(..))` per
 //!   ordered slot pair, as dense directed-link ids (no hashing, no
 //!   per-call path allocation);
 //! * a [`CostState`] maintains the pipeline link **multiset** (window
 //!   contributions counted per link) and each pair's conflict count γ
-//!   through a link→pair reverse index, so a stage swap touches only the
-//!   adjacent windows, the flipped links, and the pairs riding them.
+//!   through a link→pair reverse index, so a committed stage swap or move
+//!   ([`CostState::apply_swap`], [`CostState::apply_move`], each undone
+//!   by its inverse) touches only the adjacent windows, the flipped
+//!   links, and the pairs riding them.
 //!
-//! Results are **bit-identical** to the naive path: γ is an integer, the
-//! per-term factors (`dist`, `volume`, `pp_volume`) are the exact same
-//! `f64` values, and [`CostState::cost`] re-sums the terms in the naive
-//! evaluation order — incremental bookkeeping only decides *which* terms
-//! change, never how they are combined. `tests/ga_cost_equivalence.rs`
-//! pins the equivalence across random meshes, overflows and seeds, and
-//! `bench_ga` measures the win.
+//! Results are **bit-identical** to the naive reference on the same
+//! fault map: γ is an integer, the per-term factors (`dist`, `volume`,
+//! `pp_volume`) are the exact same `f64` values, and [`CostState::cost`]
+//! and [`PlacementCostModel::cost_of_slots`] re-sum the terms in the
+//! naive evaluation order — incremental bookkeeping only decides *which*
+//! terms change, never how they are combined.
+//! `tests/ga_cost_equivalence.rs` pins the equivalence across random
+//! meshes, fault maps, overflows and seeds, and `bench_ga` measures the
+//! win.
 
 use crate::placement::{degraded_rect_dist, slot_is_dead, tile_slots, PairDemand, Placement, Rect};
 use std::fmt;
@@ -82,26 +87,6 @@ impl LinkSet {
     pub(crate) fn contains(&self, id: u32) -> bool {
         self.words[id as usize / 64] & (1u64 << (id % 64)) != 0
     }
-}
-
-/// The pipeline link set of a placement as a [`LinkSet`] bitmap: the
-/// bidirectional union over every consecutive-stage XY route. The one
-/// shared builder behind [`crate::placement::conflict_factor`] — kept
-/// here so bitmap-based consumers can never drift from each other
-/// (the `HashSet` construction inside
-/// [`crate::placement::global_cost`] is deliberately left alone as the
-/// measured naive baseline).
-pub(crate) fn pipeline_link_bitmap(mesh: &Mesh2D, placement: &Placement) -> LinkSet {
-    let mut set = LinkSet::new(mesh);
-    for w in placement.stages.windows(2) {
-        let a = w[0].center_node(mesh);
-        let b = w[1].center_node(mesh);
-        for l in path_links(&xy_path(mesh, a, b)) {
-            set.insert(link_id(mesh, l));
-            set.insert(link_id(mesh, l.reversed()));
-        }
-    }
-    set
 }
 
 /// The memoized XY route between two slots, as directed-link ids.
@@ -293,7 +278,8 @@ impl PlacementCostModel {
     }
 
     /// Cached center distance between two slots — the exact
-    /// `Rect::dist` bits.
+    /// `Rect::dist` bits, or [`degraded_rect_dist`] bits when built
+    /// [`Self::with_faults`].
     pub fn dist(&self, a: u32, b: u32) -> f64 {
         self.dist[a as usize * self.slots.len() + b as usize]
     }
@@ -343,16 +329,6 @@ impl PlacementCostModel {
                 * (1.0 + gamma);
         }
         cost
-    }
-
-    /// [`Self::cost_of_slots`] on a rectangle placement; falls back to
-    /// the naive path when the placement is off this model's slot grid
-    /// (same value either way).
-    pub fn placement_cost(&self, placement: &Placement, pairs: &[PairDemand]) -> f64 {
-        match self.slot_ids(placement) {
-            Some(slots) => self.cost_of_slots(&slots, pairs),
-            None => crate::placement::global_cost(&self.mesh, placement, self.pp_volume, pairs),
-        }
     }
 
     /// An incremental cost state for a fixed pair set, or `None` when
@@ -701,36 +677,6 @@ impl<'m> CostState<'m> {
         }
         self.apply_changes(&[(i, slot)]);
     }
-
-    /// Cost change a stage↔stage swap would cause (negative = cheaper),
-    /// leaving the state unchanged.
-    ///
-    /// Exact, not approximate: implemented as apply → re-sum → undo, so
-    /// the γ bookkeeping is O(Δ) but each probe still pays two
-    /// O(pp + pairs) term re-sums. Callers that commit on improvement
-    /// (like [`crate::placement::optimize_with`]) should instead
-    /// [`Self::apply_swap`], compare [`Self::cost`] against their
-    /// incumbent, and undo on rejection — one re-sum per probe and
-    /// exact-comparison semantics on the full cost value.
-    pub fn swap_delta(&mut self, i: usize, j: usize) -> f64 {
-        let before = self.cost();
-        self.apply_swap(i, j);
-        let after = self.cost();
-        self.apply_swap(i, j);
-        after - before
-    }
-
-    /// Cost change moving stage `i` to `slot` would cause, leaving the
-    /// state unchanged (same cost profile and caveats as
-    /// [`Self::swap_delta`]).
-    pub fn move_delta(&mut self, i: usize, slot: u32) -> f64 {
-        let before = self.cost();
-        let old = self.stage_slot[i];
-        self.apply_move(i, slot);
-        let after = self.cost();
-        self.apply_move(i, old);
-        after - before
-    }
 }
 
 #[cfg(test)]
@@ -790,13 +736,12 @@ mod tests {
         let model = PlacementCostModel::new(mesh, 2, 2, 3.0);
         let p = serpentine(8, 4, 8, 2, 2).unwrap();
         let pairs = pairs_fig11();
-        let naive = global_cost(&mesh, &p, 3.0, &pairs);
+        let naive = global_cost(&mesh, &p, 3.0, &pairs, &FaultMap::none());
         let slots = model.slot_ids(&p).unwrap();
         assert_eq!(
             model.cost_of_slots(&slots, &pairs).to_bits(),
             naive.to_bits()
         );
-        assert_eq!(model.placement_cost(&p, &pairs).to_bits(), naive.to_bits());
     }
 
     #[test]
@@ -822,7 +767,7 @@ mod tests {
                     state.apply_move(i, slot);
                 }
             }
-            let naive = global_cost(&mesh, &state.placement(), 1.0, &pairs);
+            let naive = global_cost(&mesh, &state.placement(), 1.0, &pairs, &FaultMap::none());
             assert_eq!(
                 state.cost().to_bits(),
                 naive.to_bits(),
@@ -833,7 +778,6 @@ mod tests {
 
     #[test]
     fn faulted_state_cost_matches_naive_through_random_mutations() {
-        use crate::placement::degraded_global_cost;
         let mesh = Mesh2D::new(8, 4);
         let mut faults = FaultMap::none();
         faults.set_link_quality((3, 0), (4, 0), 0.3);
@@ -867,7 +811,7 @@ mod tests {
                     state.apply_move(i, slot);
                 }
             }
-            let naive = degraded_global_cost(&mesh, &state.placement(), 1.5, &pairs, &faults);
+            let naive = global_cost(&mesh, &state.placement(), 1.5, &pairs, &faults);
             assert_eq!(
                 state.cost().to_bits(),
                 naive.to_bits(),
@@ -877,35 +821,52 @@ mod tests {
     }
 
     #[test]
-    fn deltas_leave_state_unchanged_and_predict_cost() {
+    fn apply_and_undo_restore_the_exact_cost_bits() {
+        // The hill climb rejects a candidate by applying its inverse:
+        // a swap twice, or a move there and back, must restore the state
+        // exactly — the same cost bits and the same slots.
         let mesh = Mesh2D::new(8, 4);
         let model = PlacementCostModel::new(mesh, 2, 2, 2.0);
-        let base = serpentine(8, 4, 8, 2, 2).unwrap();
-        let pairs = pairs_fig11();
+        let base = serpentine(8, 4, 6, 2, 2).unwrap();
+        let pairs = vec![
+            PairDemand {
+                sender: 0,
+                helper: 5,
+                volume: 1.0,
+            },
+            PairDemand {
+                sender: 1,
+                helper: 3,
+                volume: 2.5,
+            },
+        ];
         let mut state = model.state(&base, &pairs).unwrap();
         let c0 = state.cost();
-        let d = state.swap_delta(0, 5);
-        assert_eq!(state.cost().to_bits(), c0.to_bits(), "swap_delta must undo");
-        state.apply_swap(0, 5);
-        assert_eq!(state.cost().to_bits(), (c0 + d).to_bits());
-        state.apply_swap(0, 5);
-        // 8 stages fill all 8 slots on 8x4/2x2 — the move test needs a
-        // free slot, so shrink to 6 stages.
-        let base6 = serpentine(8, 4, 6, 2, 2).unwrap();
-        let pairs6 = vec![PairDemand {
-            sender: 0,
-            helper: 5,
-            volume: 1.0,
-        }];
-        let mut s6 = model.state(&base6, &pairs6).unwrap();
-        let c0 = s6.cost();
-        let free = (0..model.slot_count() as u32)
-            .find(|s| !s6.stage_slots().contains(s))
-            .unwrap();
-        let d = s6.move_delta(2, free);
-        assert_eq!(s6.cost().to_bits(), c0.to_bits(), "move_delta must undo");
-        s6.apply_move(2, free);
-        assert_eq!(s6.cost().to_bits(), (c0 + d).to_bits());
+        let slots0 = state.stage_slots().to_vec();
+        for (i, j) in [(0, 5), (1, 3), (2, 4), (0, 1)] {
+            state.apply_swap(i, j);
+            assert_ne!(
+                state.stage_slots(),
+                &slots0[..],
+                "swap {i}<->{j} moved nothing"
+            );
+            state.apply_swap(i, j);
+            assert_eq!(state.cost().to_bits(), c0.to_bits(), "swap {i}<->{j}");
+            assert_eq!(state.stage_slots(), &slots0[..]);
+        }
+        // 6 stages on 8 slots leave two free slots to move into.
+        let free: Vec<u32> = (0..model.slot_count() as u32)
+            .filter(|s| !slots0.contains(s))
+            .collect();
+        assert_eq!(free.len(), 2);
+        for i in 0..6 {
+            for &slot in &free {
+                state.apply_move(i, slot);
+                state.apply_move(i, slots0[i]);
+                assert_eq!(state.cost().to_bits(), c0.to_bits(), "move {i}->{slot}");
+                assert_eq!(state.stage_slots(), &slots0[..]);
+            }
+        }
     }
 
     #[test]
@@ -916,21 +877,7 @@ mod tests {
         let state = model.state(&p, &[]).unwrap();
         assert_eq!(
             state.cost().to_bits(),
-            global_cost(&mesh, &p, 7.0, &[]).to_bits()
-        );
-    }
-
-    #[test]
-    fn off_grid_placement_cost_falls_back_to_naive() {
-        let mesh = Mesh2D::new(8, 4);
-        let model = PlacementCostModel::new(mesh, 2, 2, 1.0);
-        let mut p = serpentine(8, 4, 8, 2, 2).unwrap();
-        p.stages[3].x = 1; // off the tile grid
-        let pairs = pairs_fig11();
-        assert!(model.slot_ids(&p).is_none());
-        assert_eq!(
-            model.placement_cost(&p, &pairs).to_bits(),
-            global_cost(&mesh, &p, 1.0, &pairs).to_bits()
+            global_cost(&mesh, &p, 7.0, &[], &FaultMap::none()).to_bits()
         );
     }
 

@@ -76,20 +76,26 @@ pub fn allocate(placement: &Placement, overflow: &[Bytes], spare: &[Bytes]) -> D
     );
     allocate_by(
         |s, h| placement.stages[s].dist(&placement.stages[h]),
+        |_| 0,
         overflow,
         spare,
     )
 }
 
-/// The Alg. 3 allocation core, generic over the distance metric: `dist`
+/// The one Alg. 3 greedy loop, generic over the distance metric: `dist`
 /// prices the Sender→Helper route the priority queue orders by (and the
 /// grant's recorded `hops`). [`allocate`] delegates here with the
 /// intra-wafer `Rect::dist`; [`allocate_node`] with the seam-extended
-/// node distance — the greedy loop (heaviest sender first, nearest
-/// helper first, grants split on exhausted spare, stable tie order) is
-/// byte-identical either way.
-fn allocate_by(
+/// node distance; the GA decode with the cost model's slot-distance
+/// table — the loop (heaviest sender first, nearest helper first, grants
+/// split on exhausted spare, stable tie order) is byte-identical either
+/// way. `rotation(s)` rotates sender `s`'s distance-sorted helper queue
+/// left by `rotation(s) % len` before grants are taken: the GA's Op4/Op5
+/// helper-preference genes. [`allocate`] and [`allocate_node`] rotate by
+/// zero.
+pub(crate) fn allocate_by(
     dist: impl Fn(usize, usize) -> f64,
+    rotation: impl Fn(usize) -> usize,
     overflow: &[Bytes],
     spare: &[Bytes],
 ) -> DramAllocation {
@@ -110,6 +116,10 @@ fn allocate_by(
             .filter(|&h| h != s && remaining[h] > Bytes::ZERO)
             .collect();
         q.sort_by(|&a, &b| dist(s, a).total_cmp(&dist(s, b)));
+        if !q.is_empty() {
+            let rot = rotation(s) % q.len();
+            q.rotate_left(rot);
+        }
         for h in q {
             if need == Bytes::ZERO {
                 break;
@@ -156,6 +166,7 @@ pub fn allocate_node(
     );
     allocate_by(
         |s, h| model.dist(stage_slots[s], stage_slots[h]),
+        |_| 0,
         overflow,
         spare,
     )
@@ -235,6 +246,26 @@ mod tests {
     fn mismatched_arrays_panic() {
         let p = line_placement(2);
         let _ = allocate(&p, &[Bytes::ZERO], &[Bytes::ZERO, Bytes::ZERO]);
+    }
+
+    #[test]
+    fn helper_queue_rotation_skips_to_the_next_nearest_helper() {
+        let p = line_placement(4);
+        let dist = |s: usize, h: usize| p.stages[s].dist(&p.stages[h]);
+        // Stage 0 overflows; every other stage could host all of it.
+        let overflow = vec![Bytes::gib(4), Bytes::ZERO, Bytes::ZERO, Bytes::ZERO];
+        let spare = vec![Bytes::ZERO, Bytes::gib(8), Bytes::gib(8), Bytes::gib(8)];
+        let unrotated = allocate_by(dist, |_| 0, &overflow, &spare);
+        assert_eq!(unrotated, allocate(&p, &overflow, &spare));
+        assert_eq!(unrotated.grants[0].helper, 1, "nearest helper first");
+        // One step of rotation: the next-nearest helper takes the grant.
+        let rotated = allocate_by(dist, |s| usize::from(s == 0), &overflow, &spare);
+        assert!(rotated.complete());
+        assert_eq!(rotated.grants.len(), 1);
+        assert_eq!(rotated.grants[0].helper, 2);
+        assert_eq!(rotated.grants[0].hops, dist(0, 2));
+        // Rotation wraps modulo the queue length (3 helpers).
+        assert_eq!(allocate_by(dist, |_| 4, &overflow, &spare), rotated);
     }
 
     /// 2 wafer groups of a 4x2 wafer tiled 2x2 → 2 slots per group; a

@@ -14,10 +14,17 @@
 //! Fitness is `t_max × GlobalCost` (minimized). Selection blends elitism
 //! (fraction ω) with binary tournament: ω → 1 converges fast but greedily,
 //! ω → 0 preserves diversity (the Fig. 24b trade-off).
+//!
+//! A genome decodes through the one Alg. 3 greedy loop,
+//! `dram_alloc::allocate_by`, with the Op4/Op5 genes as the
+//! per-sender helper-queue rotation. [`refine`] prices the Eq. 2 cost on
+//! the incremental [`PlacementCostModel`]; [`refine_naive`] re-derives
+//! everything per genome on the naive [`global_cost`] reference and is
+//! pinned bit-identical to it.
 
 use crate::cache::{read_recover, write_recover};
 use crate::costmodel::PlacementCostModel;
-use crate::dram_alloc::DramGrant;
+use crate::dram_alloc::{allocate_by, DramAllocation, DramGrant};
 use crate::placement::{global_cost, tile_slots, PairDemand, Placement, Rect};
 use crate::stage::StageProfile;
 use rand::rngs::StdRng;
@@ -26,6 +33,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
+use wsc_arch::fault::FaultMap;
 use wsc_arch::units::{Bytes, Time};
 use wsc_mesh::topology::Mesh2D;
 use wsc_pipeline::recompute::RecomputePlan;
@@ -142,59 +150,6 @@ impl PlanMemo {
     }
 }
 
-/// Biased greedy allocation: each sender's helper queue (sorted by
-/// distance) is rotated by `bias[sender]` before grants are taken.
-///
-/// Distances come through `dist` so both decode engines share one
-/// implementation: the naive engine measures rectangle centers, the
-/// model engine reads the cost model's slot-distance table — the exact
-/// same `f64` bits, so queues, grants and hops are identical.
-fn biased_allocate(
-    ctx: &GaCtx<'_>,
-    dist: &dyn Fn(usize, usize) -> f64,
-    overflow: &[Bytes],
-    bias: &[usize],
-) -> (Vec<DramGrant>, bool) {
-    let pp = overflow.len();
-    let mut remaining: Vec<Bytes> = ctx.spare.to_vec();
-    let mut grants = Vec::new();
-    let mut complete = true;
-    let mut senders: Vec<usize> = (0..pp).filter(|&s| overflow[s] > Bytes::ZERO).collect();
-    senders.sort_by(|&a, &b| overflow[b].cmp(&overflow[a]));
-    for s in senders {
-        let mut need = overflow[s];
-        let mut q: Vec<usize> = (0..pp)
-            .filter(|&h| h != s && remaining[h] > Bytes::ZERO)
-            .collect();
-        q.sort_by(|&a, &b| dist(s, a).total_cmp(&dist(s, b)));
-        if !q.is_empty() {
-            let rot = bias[s] % q.len();
-            q.rotate_left(rot);
-        }
-        for h in q {
-            if need == Bytes::ZERO {
-                break;
-            }
-            let take = need.min(remaining[h]);
-            if take == Bytes::ZERO {
-                continue;
-            }
-            grants.push(DramGrant {
-                sender: s,
-                helper: h,
-                bytes: take,
-                hops: dist(s, h),
-            });
-            remaining[h] -= take;
-            need -= take;
-        }
-        if need > Bytes::ZERO {
-            complete = false;
-        }
-    }
-    (grants, complete)
-}
-
 /// Apply the genome's Op1/Op2 `extra` component on top of the base plan:
 /// the recompute-plan mutation and overflow re-derivation shared by both
 /// decode engines (value-identical by construction).
@@ -252,47 +207,61 @@ fn grant_pairs(grants: &[DramGrant]) -> Vec<PairDemand> {
         .collect()
 }
 
-/// Fitness-only decode — what the population loops need. On the
-/// [`Engine::Model`] path the plan partial is borrowed (all-zero
-/// `extra`) or memo-shared, and the Eq. 2 cost runs on the incremental
-/// model; on [`Engine::Naive`] everything is re-derived per genome, as
-/// before the cost engine existed. Both produce bit-identical fitness.
-fn decode_fitness(ctx: &GaCtx<'_>, g: &Genome) -> f64 {
-    match &ctx.engine {
-        Engine::Naive => decode_full(ctx, g).2,
-        Engine::Model {
-            model,
-            base_t_max,
-            memo,
-        } => {
-            let partial = if g.extra.iter().all(|&e| e <= 0.0) {
-                None
-            } else {
-                Some(memo.get_or_build(ctx, &g.extra))
-            };
-            let (overflow, t_max): (&[Bytes], f64) = match &partial {
-                None => (ctx.overflow, *base_t_max),
-                Some(e) => (&e.overflow, e.t_max),
-            };
-            match model.slot_ids(&g.placement) {
-                Some(ids) => {
-                    let d = |s: usize, h: usize| model.dist(ids[s], ids[h]);
-                    let (grants, complete) = biased_allocate(ctx, &d, overflow, &g.bias);
-                    let gc = model.cost_of_slots(&ids, &grant_pairs(&grants));
-                    fitness_of(ctx, t_max, gc, complete)
-                }
-                // Off the slot grid (unreachable from `refine`, which
-                // mutates over the model's own slots): same values via
-                // the rectangle path.
-                None => {
-                    let d = |s: usize, h: usize| g.placement.stages[s].dist(&g.placement.stages[h]);
-                    let (grants, complete) = biased_allocate(ctx, &d, overflow, &g.bias);
-                    let gc = model.placement_cost(&g.placement, &grant_pairs(&grants));
-                    fitness_of(ctx, t_max, gc, complete)
-                }
-            }
+/// Alg. 3 grants and the Eq. 2 cost of a genome's placement under
+/// `overflow`, its helper queues rotated by the genome's `bias`.
+///
+/// On [`Engine::Model`] both read the model's slot tables — degraded
+/// distances on a fault-aware model — so the returned winner is decoded
+/// on the distances its fitness was ranked on. [`Engine::Naive`], and an
+/// off-grid placement (unreachable from `refine`, which mutates over the
+/// model's own slots), measure rectangle centers and price the naive
+/// clean-wafer reference: the same bits as a clean model.
+fn allocate_and_cost(ctx: &GaCtx<'_>, g: &Genome, overflow: &[Bytes]) -> (DramAllocation, f64) {
+    let bias = |s: usize| g.bias[s];
+    if let Engine::Model { model, .. } = &ctx.engine {
+        if let Some(ids) = model.slot_ids(&g.placement) {
+            let dist = |s: usize, h: usize| model.dist(ids[s], ids[h]);
+            let alloc = allocate_by(dist, bias, overflow, ctx.spare);
+            let gc = model.cost_of_slots(&ids, &grant_pairs(&alloc.grants));
+            return (alloc, gc);
         }
     }
+    let st = &g.placement.stages;
+    let alloc = allocate_by(|s, h| st[s].dist(&st[h]), bias, overflow, ctx.spare);
+    let pairs = grant_pairs(&alloc.grants);
+    let gc = global_cost(
+        ctx.mesh,
+        &g.placement,
+        ctx.pp_volume,
+        &pairs,
+        &FaultMap::none(),
+    );
+    (alloc, gc)
+}
+
+/// Fitness-only decode — what the population loops need. On the
+/// [`Engine::Model`] path the plan partial is borrowed (all-zero
+/// `extra`) or memo-shared; [`Engine::Naive`] re-derives everything per
+/// genome through [`decode_full`], as before the cost engine existed.
+/// Both produce bit-identical fitness.
+fn decode_fitness(ctx: &GaCtx<'_>, g: &Genome) -> f64 {
+    let Engine::Model {
+        base_t_max, memo, ..
+    } = &ctx.engine
+    else {
+        return decode_full(ctx, g).2;
+    };
+    let partial = if g.extra.iter().all(|&e| e <= 0.0) {
+        None
+    } else {
+        Some(memo.get_or_build(ctx, &g.extra))
+    };
+    let (overflow, t_max): (&[Bytes], f64) = match &partial {
+        None => (ctx.overflow, *base_t_max),
+        Some(e) => (&e.overflow, e.t_max),
+    };
+    let (alloc, gc) = allocate_and_cost(ctx, g, overflow);
+    fitness_of(ctx, t_max, gc, alloc.complete())
 }
 
 /// Full decode — plan, grants and fitness, used once for the returned
@@ -300,16 +269,9 @@ fn decode_fitness(ctx: &GaCtx<'_>, g: &Genome) -> f64 {
 fn decode_full(ctx: &GaCtx<'_>, g: &Genome) -> (RecomputePlan, Vec<DramGrant>, f64) {
     // Extra recomputation on top of the base plan.
     let (plan, overflow) = apply_extra(ctx, &g.extra);
-    let d = |s: usize, h: usize| g.placement.stages[s].dist(&g.placement.stages[h]);
-    let (grants, complete) = biased_allocate(ctx, &d, &overflow, &g.bias);
-    let t_max = plan_t_max(ctx.stages, &plan);
-    let pairs = grant_pairs(&grants);
-    let gc = match &ctx.engine {
-        Engine::Naive => global_cost(ctx.mesh, &g.placement, ctx.pp_volume, &pairs),
-        Engine::Model { model, .. } => model.placement_cost(&g.placement, &pairs),
-    };
-    let fitness = fitness_of(ctx, t_max, gc, complete);
-    (plan, grants, fitness)
+    let (alloc, gc) = allocate_and_cost(ctx, g, &overflow);
+    let fitness = fitness_of(ctx, plan_t_max(ctx.stages, &plan), gc, alloc.complete());
+    (plan, alloc.grants, fitness)
 }
 
 fn mutate(ctx: &GaCtx<'_>, g: &mut Genome, rng: &mut StdRng) {
@@ -740,6 +702,59 @@ mod tests {
         for (a, b) in r.recompute.saved_per_mb.iter().zip(&plan.saved_per_mb) {
             assert!(a >= b);
         }
+    }
+
+    #[test]
+    fn faulted_model_decodes_the_winner_on_the_distances_it_ranked_on() {
+        let (mesh, stages, plan, placement, overflow, spare, ppv, _) = setup();
+        // Every link degraded unevenly, no dead dies: the serpentine base
+        // stays on healthy slots while each route is re-priced by its
+        // own factor, which can reorder a sender's helper queue.
+        let mut faults = FaultMap::none();
+        for y in 0..mesh.ny {
+            for x in 0..mesh.nx {
+                let q = [0.3, 0.6, 0.9][(x + 2 * y) % 3];
+                if x + 1 < mesh.nx {
+                    faults.set_link_quality((x, y), (x + 1, y), q);
+                }
+                if y + 1 < mesh.ny {
+                    faults.set_link_quality((x, y), (x, y + 1), q);
+                }
+            }
+        }
+        let model = PlacementCostModel::with_faults(mesh, 2, 2, ppv, &faults);
+        let params = GaParams {
+            population: 12,
+            steps: 30,
+            omega: 0.5,
+            seed: 7,
+        };
+        let r = refine_with_model(
+            &stages, &plan, &placement, &overflow, &spare, &model, &params,
+        );
+        let ids = model.slot_ids(&r.placement).expect("GA stays on the grid");
+        let st = &r.placement.stages;
+        assert!(
+            r.grants
+                .iter()
+                .any(|g| model.dist(ids[g.sender], ids[g.helper])
+                    != st[g.sender].dist(&st[g.helper])),
+            "some grant must ride a degraded link for this case to bite"
+        );
+        for g in &r.grants {
+            assert_eq!(
+                g.hops.to_bits(),
+                model.dist(ids[g.sender], ids[g.helper]).to_bits(),
+                "grant {}->{} priced off the ranking distances",
+                g.sender,
+                g.helper
+            );
+        }
+        assert!(
+            r.history.windows(2).all(|w| w[1] <= w[0]),
+            "history must never increase: {:?}",
+            r.history
+        );
     }
 
     #[test]

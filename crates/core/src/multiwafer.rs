@@ -72,7 +72,7 @@ use crate::dram_alloc::allocate_node;
 use crate::evaluator::{dp_allreduce_time, pipeline_floor, stage_comm_times, SeamStep};
 use crate::placement::{optimize_node, PairDemand};
 use crate::scheduler::{
-    plan_geometry, search_leg, tp_candidates, PlanFilter, PlanGeometry, SchedulerOptions,
+    gcmr_plan, plan_geometry, search_leg, tp_candidates, PlanFilter, PlanGeometry, SchedulerOptions,
 };
 use crate::stage::boundary_bytes;
 use crate::wave::{SessionCtx, WaveResult, WorkItem};
@@ -82,7 +82,7 @@ use wsc_arch::wafer::MultiWaferConfig;
 use wsc_mesh::collective::{CollectiveAlgo, GroupShape};
 use wsc_mesh::multiwafer::MultiWaferFabric;
 use wsc_mesh::topology::Mesh2D;
-use wsc_pipeline::gcmr::{gcmr, GcmrPlan};
+use wsc_pipeline::gcmr::GcmrPlan;
 use wsc_pipeline::onefb::{simulate, StageTiming};
 use wsc_pipeline::recompute::overflow_and_spare;
 use wsc_workload::parallel::{ParallelPlan, ParallelSpec, StageMap};
@@ -208,7 +208,7 @@ fn evaluate_multi_wafer_plan_impl(
     let dp = parallel.dp;
     let stages = cache.stage_profiles(wafer, job, plan, n_mb);
     let inputs: Vec<_> = stages.iter().map(|s| s.as_recompute_input()).collect();
-    let gplan = gcmr(&inputs, wafer.dram.capacity, (160 / pp).clamp(3, 16));
+    let gplan = gcmr_plan(&inputs, wafer.dram.capacity);
     if !gplan.feasible {
         return None;
     }
@@ -350,15 +350,7 @@ fn node_placement_pass(
         ctx.boundary.as_f64(),
     )?;
     // GCMR Mem_pairs (Alg. 2) become the Eq. 2 pair demands (Alg. 3).
-    let pairs: Vec<PairDemand> = gplan
-        .mem_pairs
-        .iter()
-        .map(|p| PairDemand {
-            sender: p.sender,
-            helper: p.helper,
-            volume: p.bytes.as_f64(),
-        })
-        .collect();
+    let pairs: Vec<PairDemand> = gplan.mem_pairs.iter().map(PairDemand::from).collect();
     let outcome = optimize_node(&model, ctx.assignment, &pairs, ctx.seed)?;
     let (overflow, spare) =
         overflow_and_spare(inputs, &gplan.as_recompute_plan(), wafer.dram.capacity);

@@ -11,8 +11,15 @@
 //!
 //! where γ counts routing conflicts between activation-balance paths and
 //! pipeline paths.
+//!
+//! [`optimize`] / [`optimize_with`] hill-climb on the incremental
+//! [`PlacementCostModel`]; [`optimize_node`] climbs the seam-extended
+//! [`NodeCostModel`]. [`global_cost`] and [`optimize_naive`] are the one
+//! naive Eq. 2 reference and the one naive climb the incremental engine is
+//! pinned against. Both take a [`FaultMap`]; on [`FaultMap::none`] every
+//! distance is the plain [`Rect::dist`].
 
-use crate::costmodel::{link_id, pipeline_link_bitmap, NodeCostModel, PlacementCostModel};
+use crate::costmodel::{NodeCostModel, PlacementCostModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -20,6 +27,7 @@ use std::collections::HashSet;
 use wsc_arch::fault::FaultMap;
 use wsc_mesh::routing::{path_links, xy_path};
 use wsc_mesh::topology::{DirLink, Mesh2D, NodeId};
+use wsc_pipeline::gcmr::MemPair;
 
 /// Link qualities are floored here when inverting, so a dead link prices
 /// as a `1/0.05 = 20×` detour incentive instead of an infinity that
@@ -159,6 +167,15 @@ pub fn row_major(
     })
 }
 
+/// Slot ids of a row-major `cols × rows` slot grid in boustrophedon
+/// order: even rows left to right, odd rows right to left, so consecutive
+/// ids stay mesh-adjacent across row wraps.
+fn boustrophedon(cols: usize, rows: usize) -> impl Iterator<Item = usize> {
+    (0..rows).flat_map(move |r| {
+        (0..cols).map(move |c| r * cols + if r % 2 == 0 { c } else { cols - 1 - c })
+    })
+}
+
 /// Boustrophedon placement: row-major with alternating row direction, so
 /// consecutive stages stay mesh-adjacent even across row wraps. Used as
 /// the seed for [`optimize`].
@@ -173,22 +190,11 @@ pub fn serpentine(
     if slots.len() < pp {
         return None;
     }
-    let cols = nx / tile_w;
-    let rows = ny / tile_h;
-    let mut ordered = Vec::with_capacity(slots.len());
-    for r in 0..rows {
-        if r % 2 == 0 {
-            for c in 0..cols {
-                ordered.push(slots[r * cols + c]);
-            }
-        } else {
-            for c in (0..cols).rev() {
-                ordered.push(slots[r * cols + c]);
-            }
-        }
-    }
     Some(Placement {
-        stages: ordered.into_iter().take(pp).collect(),
+        stages: boustrophedon(nx / tile_w, ny / tile_h)
+            .take(pp)
+            .map(|id| slots[id])
+            .collect(),
     })
 }
 
@@ -201,6 +207,18 @@ pub struct PairDemand {
     pub helper: usize,
     /// Relative communication volume (bytes per iteration).
     pub volume: f64,
+}
+
+/// The Alg. 2 → Alg. 3 hand-off: a GCMR Mem_pair becomes an Eq. 2 pair
+/// demand weighted by its hosted bytes.
+impl From<&MemPair> for PairDemand {
+    fn from(p: &MemPair) -> Self {
+        PairDemand {
+            sender: p.sender,
+            helper: p.helper,
+            volume: p.bytes.as_f64(),
+        }
+    }
 }
 
 /// Build the set of links used by the pipeline paths of a placement.
@@ -231,36 +249,26 @@ fn pair_conflicts(
         .count()
 }
 
-/// Count routing conflicts γ: links shared between the XY routes of
-/// activation-balance paths and pipeline paths.
-///
-/// Runs on the cost-model's dense link-id bitmap instead of rebuilding a
-/// `HashSet<DirLink>` per call; the count is identical (the bitmap holds
-/// exactly the naive pipeline link set).
-pub fn conflict_factor(mesh: &Mesh2D, placement: &Placement, pair: &PairDemand) -> usize {
-    let pipeline = pipeline_link_bitmap(mesh, placement);
-    let s = placement.stages[pair.sender].center_node(mesh);
-    let h = placement.stages[pair.helper].center_node(mesh);
-    path_links(&xy_path(mesh, s, h))
-        .into_iter()
-        .filter(|&l| pipeline.contains(link_id(mesh, l)))
-        .count()
-}
-
-/// The Eq. 2 global communication cost of a placement.
+/// The Eq. 2 global communication cost of a placement — the naive
+/// reference the incremental [`PlacementCostModel`] is pinned against.
 ///
 /// `pp_volume` is the per-iteration inter-stage pipeline traffic (bytes);
 /// pair volumes come from the Mem_pair plan. Conflicted balance paths are
-/// punished by `(1 + γ)`.
+/// punished by `(1 + γ)`. Every distance is [`degraded_rect_dist`] on
+/// `faults`, which is exactly [`Rect::dist`] on [`FaultMap::none`]; the γ
+/// counts ignore faults — faults re-price links, they do not re-route the
+/// XY paths.
 pub fn global_cost(
     mesh: &Mesh2D,
     placement: &Placement,
     pp_volume: f64,
     pairs: &[PairDemand],
+    faults: &FaultMap,
 ) -> f64 {
+    let dist = |a: &Rect, b: &Rect| degraded_rect_dist(mesh, faults, a, b);
     let mut cost = 0.0;
     for w in placement.stages.windows(2) {
-        cost += w[0].dist(&w[1]) * pp_volume;
+        cost += dist(&w[0], &w[1]) * pp_volume;
     }
     if pairs.is_empty() {
         return cost;
@@ -268,8 +276,10 @@ pub fn global_cost(
     let pipeline_links = pipeline_link_set(mesh, placement);
     for pair in pairs {
         let gamma = pair_conflicts(mesh, placement, &pipeline_links, pair) as f64;
-        cost += placement.stages[pair.sender].dist(&placement.stages[pair.helper])
-            * pair.volume
+        cost += dist(
+            &placement.stages[pair.sender],
+            &placement.stages[pair.helper],
+        ) * pair.volume
             * (1.0 + gamma);
     }
     cost
@@ -285,10 +295,13 @@ pub fn global_cost(
 /// This is the one definition of "degraded distance" in the crate: the
 /// fault-aware [`PlacementCostModel`]
 /// fills its distance table from this exact function, so the incremental
-/// engine and the naive [`degraded_global_cost`] reference read the same
-/// `f64` bits.
+/// engine and the naive [`global_cost`] reference read the same `f64`
+/// bits. An empty map returns `a.dist(b)` without routing.
 pub fn degraded_rect_dist(mesh: &Mesh2D, faults: &FaultMap, a: &Rect, b: &Rect) -> f64 {
     let base = a.dist(b);
+    if faults.is_empty() {
+        return base;
+    }
     let links = path_links(&xy_path(mesh, a.center_node(mesh), b.center_node(mesh)));
     if links.is_empty() {
         return base;
@@ -311,45 +324,13 @@ pub fn slot_is_dead(mesh: &Mesh2D, faults: &FaultMap, slot: &Rect) -> bool {
         .any(|&n| faults.die_health(mesh.pos(n)) <= 0.0)
 }
 
-/// The Eq. 2 global cost on a degraded wafer: [`global_cost`] with every
-/// distance term replaced by [`degraded_rect_dist`]. The γ conflict
-/// counts are unchanged — faults re-price links, they do not re-route
-/// the XY paths.
-pub fn degraded_global_cost(
-    mesh: &Mesh2D,
-    placement: &Placement,
-    pp_volume: f64,
-    pairs: &[PairDemand],
-    faults: &FaultMap,
-) -> f64 {
-    let mut cost = 0.0;
-    for w in placement.stages.windows(2) {
-        cost += degraded_rect_dist(mesh, faults, &w[0], &w[1]) * pp_volume;
-    }
-    if pairs.is_empty() {
-        return cost;
-    }
-    let pipeline_links = pipeline_link_set(mesh, placement);
-    for pair in pairs {
-        let gamma = pair_conflicts(mesh, placement, &pipeline_links, pair) as f64;
-        cost += degraded_rect_dist(
-            mesh,
-            faults,
-            &placement.stages[pair.sender],
-            &placement.stages[pair.helper],
-        ) * pair.volume
-            * (1.0 + gamma);
-    }
-    cost
-}
-
 /// Spare-die remapping: move every stage sitting on a masked slot to the
 /// nearest free healthy slot (clean [`Rect::dist`], ties broken by
 /// lowest slot id), in stage order. Returns `false` when the healthy
 /// slots run out — the pipeline does not fit this wafer.
 ///
-/// Shared verbatim by the incremental and naive fault-aware hill climbs
-/// so both start from the identical seed placement.
+/// Shared verbatim by the incremental and naive hill climbs so both
+/// start from the identical seed placement.
 pub(crate) fn remap_dead_slots(slots: &[Rect], masked: &[bool], placement: &mut Placement) -> bool {
     let mut used = vec![false; slots.len()];
     for st in &placement.stages {
@@ -387,13 +368,14 @@ pub(crate) fn remap_dead_slots(slots: &[Rect], masked: &[bool], placement: &mut 
 }
 
 /// Location-aware placement (§IV-C-1): start from serpentine and
-/// hill-climb over stage↔slot swaps to minimize [`global_cost`], keeping
+/// hill-climb over stage↔slot swaps to minimize the Eq. 2 cost, keeping
 /// the pipeline path intact as a first-class cost term.
 ///
 /// Runs on the incremental [`PlacementCostModel`] engine — each swap or
 /// move candidate is priced in O(Δ) instead of re-deriving the whole
-/// Eq. 2 sum — and is bit-identical to [`optimize_naive`] for every
-/// seed (same RNG stream, same acceptance decisions, same placement).
+/// Eq. 2 sum — and is bit-identical to [`optimize_naive`] on
+/// [`FaultMap::none`] for every seed (same RNG stream, same acceptance
+/// decisions, same placement).
 pub fn optimize(
     mesh: &Mesh2D,
     pp: usize,
@@ -504,20 +486,7 @@ pub struct NodePlacementOutcome {
 pub fn node_serpentine(model: &NodeCostModel, assignment: &[usize]) -> Option<Vec<usize>> {
     let spw = model.slots_per_group();
     let cols = model.cols().max(1);
-    let rows = spw / cols;
-    // Boustrophedon order over the wafer-local slot grid.
-    let mut order = Vec::with_capacity(spw);
-    for r in 0..rows {
-        if r % 2 == 0 {
-            for c in 0..cols {
-                order.push(r * cols + c);
-            }
-        } else {
-            for c in (0..cols).rev() {
-                order.push(r * cols + c);
-            }
-        }
-    }
+    let order: Vec<usize> = boustrophedon(cols, spw / cols).collect();
     let mut next = vec![0usize; model.groups()];
     let mut slots = Vec::with_capacity(assignment.len());
     for &g in assignment {
@@ -618,75 +587,15 @@ pub fn optimize_node(
     })
 }
 
-/// The pre-cost-model hill climb: every candidate recomputes
-/// [`global_cost`] from scratch. Kept as the reference implementation —
-/// `tests/ga_cost_equivalence.rs` pins `optimize ≡ optimize_naive`
-/// bit-for-bit, and `bench_ga` measures the gap.
-pub fn optimize_naive(
-    mesh: &Mesh2D,
-    pp: usize,
-    tile_w: usize,
-    tile_h: usize,
-    pp_volume: f64,
-    pairs: &[PairDemand],
-    seed: u64,
-) -> Option<Placement> {
-    let base = serpentine(mesh.nx, mesh.ny, pp, tile_w, tile_h)?;
-    if pairs.is_empty() {
-        // No balance traffic: the boustrophedon layout already minimizes
-        // the pipeline term (all consecutive stages adjacent).
-        return Some(base);
-    }
-    let slots = tile_slots(mesh.nx, mesh.ny, tile_w, tile_h);
-    let mut best = base;
-    let mut best_cost = global_cost(mesh, &best, pp_volume, pairs);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9a1e_77a7);
-    // Swap moves: either two stages exchange slots, or one stage moves to
-    // an unused slot.
-    let iters = 60 + 40 * pp;
-    for _ in 0..iters {
-        let mut cand = best.clone();
-        if slots.len() > pp && rng.gen_bool(0.3) {
-            // Move a stage to a free slot.
-            let used: HashSet<Rect> = cand.stages.iter().copied().collect();
-            let free: Vec<Rect> = slots
-                .iter()
-                .copied()
-                .filter(|s| !used.contains(s))
-                .collect();
-            if let Some(&slot) = free.get(
-                rng.gen_range(0..free.len().max(1))
-                    .min(free.len().saturating_sub(1)),
-            ) {
-                let idx = rng.gen_range(0..pp);
-                cand.stages[idx] = slot;
-            }
-        } else {
-            let i = rng.gen_range(0..pp);
-            let j = rng.gen_range(0..pp);
-            if i == j {
-                continue;
-            }
-            cand.stages.swap(i, j);
-        }
-        let c = global_cost(mesh, &cand, pp_volume, pairs);
-        if c < best_cost {
-            best_cost = c;
-            best = cand;
-        }
-    }
-    Some(best)
-}
-
-/// The naive fault-aware reference hill climb: [`optimize_with`] on a
-/// [`PlacementCostModel::with_faults`](crate::costmodel::PlacementCostModel::with_faults)
-/// model must retrace this exactly — same `remap_dead_slots` seed,
-/// same RNG stream, same masked-slot exclusions, same
-/// [`degraded_global_cost`] acceptance bits (pinned by
-/// `tests/ga_cost_equivalence.rs` and the placement unit tests). Every
-/// candidate recomputes the degraded Eq. 2 sum from scratch.
+/// The naive reference hill climb: every candidate recomputes
+/// [`global_cost`] from scratch. [`optimize_with`] on a
+/// [`PlacementCostModel::with_faults`] model for the same `faults` (or a
+/// clean model for [`FaultMap::none`]) must retrace it exactly — same
+/// `remap_dead_slots` seed, same RNG stream, same masked-slot exclusions,
+/// same acceptance bits. `tests/ga_cost_equivalence.rs` and the placement
+/// unit tests pin the equivalence, and `bench_ga` measures the gap.
 #[allow(clippy::too_many_arguments)]
-pub fn optimize_naive_with_faults(
+pub fn optimize_naive(
     mesh: &Mesh2D,
     pp: usize,
     tile_w: usize,
@@ -709,7 +618,7 @@ pub fn optimize_naive_with_faults(
         return Some(base);
     }
     let mut best = base;
-    let mut best_cost = degraded_global_cost(mesh, &best, pp_volume, pairs, faults);
+    let mut best_cost = global_cost(mesh, &best, pp_volume, pairs, faults);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9a1e_77a7);
     let iters = 60 + 40 * pp;
     for _ in 0..iters {
@@ -737,7 +646,7 @@ pub fn optimize_naive_with_faults(
             }
             cand.stages.swap(i, j);
         }
-        let c = degraded_global_cost(mesh, &cand, pp_volume, pairs, faults);
+        let c = global_cost(mesh, &cand, pp_volume, pairs, faults);
         if c < best_cost {
             best_cost = c;
             best = cand;
@@ -779,6 +688,16 @@ mod tests {
     }
 
     #[test]
+    fn node_serpentine_on_one_group_is_the_wafer_serpentine() {
+        // 3 slot columns: odd rows must walk right to left in both seeds.
+        let model = NodeCostModel::new(6, 4, 2, 2, 1, 6.0, 1.0).unwrap();
+        let slots = node_serpentine(&model, &[0; 5]).unwrap();
+        let rects: Vec<Rect> = slots.iter().map(|&s| model.local_rect(s)).collect();
+        assert_eq!(rects, serpentine(6, 4, 5, 2, 2).unwrap().stages);
+        assert_eq!(slots, vec![0, 1, 2, 5, 4]);
+    }
+
+    #[test]
     fn serpentine_fails_when_mesh_too_small() {
         assert!(serpentine(4, 4, 8, 2, 2).is_none());
     }
@@ -791,9 +710,9 @@ mod tests {
         let mesh = Mesh2D::new(8, 4);
         let pairs = fig11_pairs();
         let naive = row_major(8, 4, 8, 2, 2).unwrap();
-        let naive_cost = global_cost(&mesh, &naive, 1.0, &pairs);
+        let naive_cost = global_cost(&mesh, &naive, 1.0, &pairs, &FaultMap::none());
         let opt = optimize(&mesh, 8, 2, 2, 1.0, &pairs, 42).unwrap();
-        let opt_cost = global_cost(&mesh, &opt, 1.0, &pairs);
+        let opt_cost = global_cost(&mesh, &opt, 1.0, &pairs, &FaultMap::none());
         assert!(
             opt_cost < naive_cost,
             "optimized {opt_cost} should beat naive {naive_cost}"
@@ -827,20 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn conflict_factor_counts_shared_links() {
-        let mesh = Mesh2D::new(8, 1);
-        // A line of 4 stages of 2x1 tiles: balance path (0 -> 3) must ride
-        // the pipeline path: conflicts are inevitable.
-        let p = serpentine(8, 1, 4, 2, 1).unwrap();
-        let pair = PairDemand {
-            sender: 0,
-            helper: 3,
-            volume: 1.0,
-        };
-        assert!(conflict_factor(&mesh, &p, &pair) > 0);
-    }
-
-    #[test]
     fn global_cost_punishes_conflicts() {
         let mesh = Mesh2D::new(8, 1);
         let p = serpentine(8, 1, 4, 2, 1).unwrap();
@@ -849,7 +754,7 @@ mod tests {
             helper: 3,
             volume: 1.0,
         }];
-        let with = global_cost(&mesh, &p, 0.0, &pair_conflicted);
+        let with = global_cost(&mesh, &p, 0.0, &pair_conflicted, &FaultMap::none());
         let raw_dist = p.stages[0].dist(&p.stages[3]);
         assert!(with > raw_dist, "conflict punishment must inflate cost");
     }
@@ -946,14 +851,12 @@ mod tests {
                 ];
                 let model = PlacementCostModel::with_faults(mesh, 2, 2, 1.0, &faults);
                 let inc = optimize_with(&model, pp, &pairs, seed).unwrap();
-                let naive = optimize_naive_with_faults(&mesh, pp, 2, 2, 1.0, &pairs, &faults, seed)
-                    .unwrap();
+                let naive = optimize_naive(&mesh, pp, 2, 2, 1.0, &pairs, &faults, seed).unwrap();
                 assert_eq!(inc, naive, "seed {seed} pp {pp}");
                 // Empty pair sets still climb (and still agree) on a
                 // degraded wafer.
                 let inc0 = optimize_with(&model, pp, &[], seed).unwrap();
-                let naive0 =
-                    optimize_naive_with_faults(&mesh, pp, 2, 2, 1.0, &[], &faults, seed).unwrap();
+                let naive0 = optimize_naive(&mesh, pp, 2, 2, 1.0, &[], &faults, seed).unwrap();
                 assert_eq!(inc0, naive0, "seed {seed} pp {pp} empty pairs");
             }
         }
@@ -967,7 +870,8 @@ mod tests {
         let pairs = fig11_pairs();
         for seed in [0, 7, 42, 1234] {
             let inc = optimize(&mesh, 8, 2, 2, 1.0, &pairs, seed).unwrap();
-            let naive = optimize_naive(&mesh, 8, 2, 2, 1.0, &pairs, seed).unwrap();
+            let naive =
+                optimize_naive(&mesh, 8, 2, 2, 1.0, &pairs, &FaultMap::none(), seed).unwrap();
             assert_eq!(inc, naive, "seed {seed}");
             // Free-slot moves engage when slots > pp.
             let pairs6 = vec![PairDemand {
@@ -976,7 +880,8 @@ mod tests {
                 volume: 1.0,
             }];
             let inc6 = optimize(&mesh, 6, 2, 2, 1.0, &pairs6, seed).unwrap();
-            let naive6 = optimize_naive(&mesh, 6, 2, 2, 1.0, &pairs6, seed).unwrap();
+            let naive6 =
+                optimize_naive(&mesh, 6, 2, 2, 1.0, &pairs6, &FaultMap::none(), seed).unwrap();
             assert_eq!(inc6, naive6, "seed {seed} with free slots");
         }
     }

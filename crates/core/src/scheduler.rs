@@ -39,8 +39,10 @@ use wsc_arch::units::Bytes;
 use wsc_arch::wafer::WaferConfig;
 use wsc_mesh::collective::{CollectiveAlgo, GroupShape};
 use wsc_mesh::topology::Mesh2D;
-use wsc_pipeline::gcmr::gcmr;
-use wsc_pipeline::recompute::{naive_recompute, overflow_and_spare, RecomputePlan};
+use wsc_pipeline::gcmr::{gcmr, GcmrPlan};
+use wsc_pipeline::recompute::{
+    naive_recompute, overflow_and_spare, RecomputePlan, StageRecomputeInput,
+};
 use wsc_workload::graph::ShardingCtx;
 use wsc_workload::memory::model_p_total;
 use wsc_workload::parallel::{ParallelPlan, ParallelSpec, TpSplitStrategy};
@@ -383,6 +385,14 @@ fn pick_collective(
     best.map(|(a, _)| a)
 }
 
+/// Alg. 2 (GCMR) at the memory resolution both legs schedule with:
+/// `160 / pp` quanta per die, clamped to `[3, 16]`, for the `pp` stages
+/// of `inputs`. Its Mem_pairs reach Alg. 3 as
+/// [`PairDemand::from`](crate::placement::PairDemand) demands.
+pub(crate) fn gcmr_plan(inputs: &[StageRecomputeInput], capacity: Bytes) -> GcmrPlan {
+    gcmr(inputs, capacity, (160 / inputs.len()).clamp(3, 16))
+}
+
 /// Schedule a fixed [`ParallelPlan`] on one wafer: run the downstream
 /// schedulers and evaluate. This is the Alg. 1 loop body, also used
 /// directly by the ablation and baseline experiments. Stage profiles and
@@ -410,7 +420,6 @@ pub fn schedule_plan_cached(
     let inputs: Vec<_> = stages.iter().map(|s| s.as_recompute_input()).collect();
 
     // Recomputation scheduler.
-    let quanta = (160 / pp).clamp(3, 16);
     let (rplan, mem_pairs) = match opts.recompute {
         RecomputeMode::None => {
             let fits = inputs.iter().all(|i| i.full_memory() <= cap);
@@ -420,7 +429,7 @@ pub fn schedule_plan_cached(
         }
         RecomputeMode::Naive => (naive_recompute(&inputs, cap), Vec::new()),
         RecomputeMode::Gcmr => {
-            let g = gcmr(&inputs, cap, quanta);
+            let g = gcmr_plan(&inputs, cap);
             let pairs = g.mem_pairs.clone();
             (g.as_recompute_plan(), pairs)
         }
@@ -431,14 +440,7 @@ pub fn schedule_plan_cached(
 
     // Memory scheduler: placement (+ fine-grained DRAM allocation).
     let pp_volume = boundary_bytes(job, &ctx).as_f64();
-    let pair_demands: Vec<PairDemand> = mem_pairs
-        .iter()
-        .map(|p| PairDemand {
-            sender: p.sender,
-            helper: p.helper,
-            volume: p.bytes.as_f64(),
-        })
-        .collect();
+    let pair_demands: Vec<PairDemand> = mem_pairs.iter().map(PairDemand::from).collect();
     // One cost model per (tile shape, pp_volume) is shared through the
     // cache: the hill climb, the GA refinement, and every other search
     // point with this tile shape reuse its distance tables and memoized

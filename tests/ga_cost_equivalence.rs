@@ -4,8 +4,10 @@
 //! seeds, the memoized/incremental paths are **bit-identical** to the
 //! naive re-derive-everything reference —
 //!
-//! * `placement::optimize` ≡ `placement::optimize_naive` (same hill-climb
-//!   trajectory, same final placement, same Eq. 2 cost bits), and
+//! * `placement::optimize_with` ≡ `placement::optimize_naive` on the same
+//!   fault map — clean on about half the cases, dead dies and degraded
+//!   links on the rest (same hill-climb trajectory, same final placement,
+//!   same Eq. 2 cost bits), and
 //! * `ga::refine` ≡ `ga::refine_naive` (same fitness bits, same history,
 //!   same chosen placement, plan and grants for every seed).
 
@@ -13,8 +15,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use watos::ga::{refine, refine_naive, GaParams};
-use watos::placement::{global_cost, optimize, optimize_naive, serpentine, PairDemand};
+use watos::placement::{
+    global_cost, optimize, optimize_naive, optimize_with, serpentine, PairDemand,
+};
 use watos::stage::StageProfile;
+use watos::PlacementCostModel;
+use wsc_arch::fault::FaultMap;
 use wsc_arch::units::{Bytes, Flops, Time};
 use wsc_mesh::topology::Mesh2D;
 use wsc_pipeline::recompute::RecomputePlan;
@@ -33,6 +39,30 @@ fn random_pairs(rng: &mut StdRng, pp: usize, n: usize) -> Vec<PairDemand> {
         .collect()
 }
 
+/// A random degraded wafer: each die dead with probability 1/16 and each
+/// mesh link degraded (quality in `[0, 1)`, 0 = broken) with probability
+/// 1/5, plus one guaranteed degraded link so the map is never empty.
+fn random_faults(rng: &mut StdRng, nx: usize, ny: usize) -> FaultMap {
+    let mut faults = FaultMap::none();
+    for y in 0..ny {
+        for x in 0..nx {
+            if rng.gen_bool(1.0 / 16.0) {
+                faults.set_die_health((x, y), 0.0);
+            }
+            if x + 1 < nx && rng.gen_bool(0.2) {
+                faults.set_link_quality((x, y), (x + 1, y), rng.gen_range(0.0..1.0));
+            }
+            if y + 1 < ny && rng.gen_bool(0.2) {
+                faults.set_link_quality((x, y), (x, y + 1), rng.gen_range(0.0..1.0));
+            }
+        }
+    }
+    let x = rng.gen_range(0..nx - 1);
+    let y = rng.gen_range(0..ny);
+    faults.set_link_quality((x, y), (x + 1, y), rng.gen_range(0.05..0.9));
+    faults
+}
+
 proptest! {
     #[test]
     fn hill_climb_incremental_matches_naive(
@@ -43,7 +73,9 @@ proptest! {
         n_pairs in 0usize..6,
         ppv in 0.0f64..5.0,
         seed in 0u64..1_000_000,
+        fault_coin in 0u8..2,
     ) {
+        let faulty = fault_coin == 1;
         let (tw, th) = [(1, 1), (2, 1), (1, 2), (2, 2)][tile_idx];
         let (tw, th) = if (nx / tw) * (ny / th) < 2 { (1, 1) } else { (tw, th) };
         let slots = (nx / tw) * (ny / th);
@@ -51,13 +83,19 @@ proptest! {
         let mesh = Mesh2D::new(nx, ny);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x51ce_11fe);
         let pairs = random_pairs(&mut rng, pp, n_pairs);
+        let faults = if faulty { random_faults(&mut rng, nx, ny) } else { FaultMap::none() };
 
-        let inc = optimize(&mesh, pp, tw, th, ppv, &pairs, seed);
-        let naive = optimize_naive(&mesh, pp, tw, th, ppv, &pairs, seed);
+        let inc = if faulty {
+            let model = PlacementCostModel::with_faults(mesh, tw, th, ppv, &faults);
+            optimize_with(&model, pp, &pairs, seed)
+        } else {
+            optimize(&mesh, pp, tw, th, ppv, &pairs, seed)
+        };
+        let naive = optimize_naive(&mesh, pp, tw, th, ppv, &pairs, &faults, seed);
         prop_assert_eq!(&inc, &naive, "hill climbs diverged");
         if let (Some(a), Some(b)) = (inc, naive) {
-            let ca = global_cost(&mesh, &a, ppv, &pairs);
-            let cb = global_cost(&mesh, &b, ppv, &pairs);
+            let ca = global_cost(&mesh, &a, ppv, &pairs, &faults);
+            let cb = global_cost(&mesh, &b, ppv, &pairs, &faults);
             prop_assert_eq!(ca.to_bits(), cb.to_bits(), "costs diverged");
         }
     }
